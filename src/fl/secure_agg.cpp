@@ -3,17 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/primitives.hpp"
 #include "util/rng.hpp"
 
 namespace baffle {
 
-std::uint64_t SecureAggregation::encode(float x) const {
+namespace {
+
+// Throws unless `ids` holds each id at most once: a repeated id would
+// apply (or cancel) its pair masks twice, so they would never cancel.
+void require_distinct(std::vector<std::size_t> ids, const char* what) {
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    throw std::invalid_argument(what);
+  }
+}
+
+}  // namespace
+
+bool SecureAggregation::try_encode(float x, std::uint64_t& out) const {
   const double scaled =
       std::round(static_cast<double>(x) *
                  static_cast<double>(std::uint64_t{1} << config_.frac_bits));
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(scaled));
+  // Also false for NaN. Within the bound the int64 cast is exact.
+  if (!(std::abs(scaled) < 0x1p63)) return false;
+  out = static_cast<std::uint64_t>(static_cast<std::int64_t>(scaled));
+  return true;
+}
+
+std::uint64_t SecureAggregation::encode(float x) const {
+  std::uint64_t out = 0;
+  if (!try_encode(x, out)) {
+    throw std::invalid_argument("encode: value is not finite or |x| * "
+                                "2^frac_bits >= 2^63");
+  }
+  return out;
 }
 
 float SecureAggregation::decode_sum(std::uint64_t total) const {
@@ -32,33 +58,28 @@ std::uint64_t SecureAggregation::pair_seed(std::size_t a,
   return s;
 }
 
-void SecureAggregation::add_pair_mask(MaskedVec& vec, std::size_t self_id,
-                                      std::size_t other_id,
-                                      bool subtract) const {
-  Rng prg(pair_seed(self_id, other_id));
-  for (auto& slot : vec) {
-    const std::uint64_t m = prg.next_u64();
-    slot = subtract ? slot - m : slot + m;  // wrap-around group Z_2^64
-  }
-}
-
 MaskedVec SecureAggregation::mask_update(
     const ParamVec& update, std::size_t self_id,
     const std::vector<std::size_t>& participants) const {
+  if (std::find(participants.begin(), participants.end(), self_id) ==
+      participants.end()) {
+    throw std::invalid_argument("mask_update: self not in participants");
+  }
+  require_distinct(participants, "mask_update: duplicate participant id");
   MaskedVec out(update.size());
-  for (std::size_t i = 0; i < update.size(); ++i) out[i] = encode(update[i]);
-  bool self_seen = false;
-  for (std::size_t other : participants) {
-    if (other == self_id) {
-      self_seen = true;
-      continue;
+  for (std::size_t i = 0; i < update.size(); ++i) {
+    if (!try_encode(update[i], out[i])) {
+      throw std::invalid_argument(
+          "mask_update: update[" + std::to_string(i) +
+          "] is not finite or |x| * 2^frac_bits >= 2^63");
     }
+  }
+  for (std::size_t other : participants) {
+    if (other == self_id) continue;
     // The lower id adds, the higher id subtracts — so each pair's mask
     // cancels in the sum.
-    add_pair_mask(out, self_id, other, /*subtract=*/self_id > other);
-  }
-  if (!self_seen) {
-    throw std::invalid_argument("mask_update: self not in participants");
+    add_prg_mask(out, pair_seed(self_id, other),
+                 /*subtract=*/self_id > other);
   }
   return out;
 }
@@ -78,6 +99,14 @@ ParamVec SecureAggregation::unmask_sum(
       throw std::invalid_argument("unmask_sum: vector length mismatch");
     }
   }
+  require_distinct(senders, "unmask_sum: duplicate sender id");
+  require_distinct(participants, "unmask_sum: duplicate participant id");
+  for (std::size_t sender : senders) {
+    if (std::find(participants.begin(), participants.end(), sender) ==
+        participants.end()) {
+      throw std::invalid_argument("unmask_sum: sender not in participants");
+    }
+  }
   MaskedVec total(vec_len, 0);
   for (const auto& m : masked) add_u64(total, m);
   // Cancel the masks survivors applied against dropped participants: in
@@ -90,8 +119,8 @@ ParamVec SecureAggregation::unmask_sum(
     for (std::size_t survivor : senders) {
       // The survivor applied +mask if survivor < dropped else -mask;
       // undo it.
-      add_pair_mask(total, survivor, dropped,
-                    /*subtract=*/survivor < dropped);
+      add_prg_mask(total, pair_seed(survivor, dropped),
+                   /*subtract=*/survivor < dropped);
     }
   }
   ParamVec out(vec_len);

@@ -19,6 +19,19 @@ namespace baffle::kernels {
 /// zero-padded), so one panel row is exactly one cache line.
 inline constexpr std::size_t kPanelCols = 16;
 
+/// std::mt19937_64's parameters ([rand.predef]): state words, shift
+/// offset, twist matrix, and the mask that splits each word at bit r=31.
+/// The add_mt19937_64 arms both generate from these.
+inline constexpr std::size_t kMtWords = 312;
+inline constexpr std::size_t kMtShift = 156;
+inline constexpr std::uint64_t kMtMatrix = 0xb5026f5aa96619e9ULL;
+inline constexpr std::uint64_t kMtUpperMask = ~std::uint64_t{0} << 31;
+inline constexpr std::uint64_t kMtInitMult = 6364136223846793005ULL;
+/// Tempering masks (d, b, c); the shifts are u=29, s=17, t=37, l=43.
+inline constexpr std::uint64_t kMtTemperD = 0x5555555555555555ULL;
+inline constexpr std::uint64_t kMtTemperB = 0x71d67fffeda60000ULL;
+inline constexpr std::uint64_t kMtTemperC = 0xfff7eee000000000ULL;
+
 /// Row-range GEMM over the operands in their natural layout (the
 /// scalar arm's form; also used by the vector arm's fallback-free
 /// callers via ops.cpp orchestration).
@@ -174,6 +187,12 @@ struct KernelTable {
   void (*relu_forward)(float*, std::size_t);
   void (*relu_backward)(const float* activated, float* grad, std::size_t);
   void (*add_u64)(std::uint64_t* acc, const std::uint64_t*, std::size_t);
+  // acc[i] += w_i (or -= when `subtract`) in Z_2^64, where w_0, w_1, ...
+  // is exactly the output of std::mt19937_64(engine_seed): the state is
+  // twisted kMtWords words per block and each word tempered and applied
+  // in one pass (the secure-aggregation pair masks).
+  void (*add_mt19937_64)(std::uint64_t* acc, std::size_t n,
+                         std::uint64_t engine_seed, bool subtract);
   double (*sum_d)(const double*, std::size_t);
   double (*sum_sq_diff_d)(const double*, double center, std::size_t);
 

@@ -257,6 +257,54 @@ void add_u64(std::uint64_t* acc, const std::uint64_t* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
 }
 
+// std::mersenne_twister_engine's algorithm as [rand.eng.mers] states it:
+// seed the state, then per block of kMtWords outputs twist every word
+// and temper it on the way out.
+std::uint64_t mt_twist_word(std::uint64_t cur, std::uint64_t next,
+                            std::uint64_t far) {
+  const std::uint64_t y = (cur & kMtUpperMask) | (next & ~kMtUpperMask);
+  return far ^ (y >> 1) ^ ((y & 1) != 0 ? kMtMatrix : 0);
+}
+
+template <bool kSubtract>
+void add_mt19937_64_blocks(std::uint64_t* acc, std::size_t n,
+                           std::uint64_t engine_seed) {
+  constexpr std::size_t kLow = kMtWords - kMtShift;
+  std::uint64_t mt[kMtWords];
+  mt[0] = engine_seed;
+  for (std::size_t i = 1; i < kMtWords; ++i) {
+    mt[i] = kMtInitMult * (mt[i - 1] ^ (mt[i - 1] >> 62)) + i;
+  }
+  for (std::size_t off = 0; off < n; off += kMtWords) {
+    for (std::size_t i = 0; i < kLow; ++i) {
+      mt[i] = mt_twist_word(mt[i], mt[i + 1], mt[i + kMtShift]);
+    }
+    for (std::size_t i = kLow; i + 1 < kMtWords; ++i) {
+      mt[i] = mt_twist_word(mt[i], mt[i + 1], mt[i - kLow]);
+    }
+    mt[kMtWords - 1] =
+        mt_twist_word(mt[kMtWords - 1], mt[0], mt[kMtShift - 1]);
+    const std::size_t len = std::min(kMtWords, n - off);
+    for (std::size_t i = 0; i < len; ++i) {
+      std::uint64_t w = mt[i];
+      w ^= (w >> 29) & kMtTemperD;
+      w ^= (w << 17) & kMtTemperB;
+      w ^= (w << 37) & kMtTemperC;
+      w ^= w >> 43;
+      acc[off + i] = kSubtract ? acc[off + i] - w : acc[off + i] + w;
+    }
+  }
+}
+
+void add_mt19937_64(std::uint64_t* acc, std::size_t n,
+                    std::uint64_t engine_seed, bool subtract) {
+  if (subtract) {
+    add_mt19937_64_blocks<true>(acc, n, engine_seed);
+  } else {
+    add_mt19937_64_blocks<false>(acc, n, engine_seed);
+  }
+}
+
 double sum_d(const double* x, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += x[i];
@@ -443,6 +491,7 @@ constexpr KernelTable kTable = {
     relu_forward,
     relu_backward,
     add_u64,
+    add_mt19937_64,
     sum_d,
     sum_sq_diff_d,
     eval_layer_f32,

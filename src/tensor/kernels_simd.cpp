@@ -8,8 +8,8 @@
 // Numeric contract: the dot/norm/distance family keeps the scalar
 // arm's double-precision accumulation (via 4-wide double lanes), so the
 // two arms differ only by reassociation and FMA rounding — within the
-// parity-test tolerance — while relu/abs/max and the u64 adds are
-// bit-exact.
+// parity-test tolerance — while relu/abs/max, the u64 adds and the
+// mt19937_64 mask stream are bit-exact.
 
 #include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
@@ -373,6 +373,88 @@ void add_u64(std::uint64_t* acc, const std::uint64_t* x, std::size_t n) {
   for (; i < n; ++i) acc[i] += x[i];
 }
 
+BAFFLE_ALWAYS_INLINE u64x4 splat4u(std::uint64_t x) {
+  return u64x4{x, x, x, x};
+}
+
+// Words [0, kMtLow) of a twist read only old state; words [kMtLow,
+// kMtWords) read the words [0, kMtShift) the first loop just wrote. Both
+// distances are multiples of 4, so no 4-word step reads a word that its
+// own step writes. Slot mt[kMtWords] mirrors the new mt[0], which the
+// last step reads as its (i + 1) wrap.
+constexpr std::size_t kMtLow = kMtWords - kMtShift;
+static_assert(kMtLow % simd::kDoubleLanes == 0 &&
+              kMtShift % simd::kDoubleLanes == 0);
+
+void twist_mt19937_64(std::uint64_t* mt) {
+  const u64x4 upper = splat4u(kMtUpperMask), matrix = splat4u(kMtMatrix),
+              one = splat4u(1);
+  const auto step = [&](std::size_t i, std::size_t src) {
+    const u64x4 y =
+        (loadu4u(mt + i) & upper) | (loadu4u(mt + i + 1) & ~upper);
+    storeu4u(mt + i, loadu4u(mt + src) ^ (y >> 1) ^
+                         ((u64x4{} - (y & one)) & matrix));
+  };
+  for (std::size_t i = 0; i < kMtLow; i += simd::kDoubleLanes) {
+    step(i, i + kMtShift);
+  }
+  mt[kMtWords] = mt[0];
+  for (std::size_t i = kMtLow; i < kMtWords; i += simd::kDoubleLanes) {
+    step(i, i - kMtLow);
+  }
+}
+
+// Tempers mt[0, len) and applies it to acc, len <= kMtWords. A tail of
+// fewer than 4 words goes through a zero-padded copy of acc.
+template <bool kSubtract>
+void apply_tempered(std::uint64_t* acc, const std::uint64_t* mt,
+                    std::size_t len) {
+  const u64x4 d = splat4u(kMtTemperD), b = splat4u(kMtTemperB),
+              c = splat4u(kMtTemperC);
+  const auto apply4 = [&](std::uint64_t* dst, const std::uint64_t* src) {
+    u64x4 w = loadu4u(src);
+    w ^= (w >> 29) & d;
+    w ^= (w << 17) & b;
+    w ^= (w << 37) & c;
+    w ^= w >> 43;
+    const u64x4 a = loadu4u(dst);
+    storeu4u(dst, kSubtract ? a - w : a + w);
+  };
+  std::size_t i = 0;
+  for (; i + simd::kDoubleLanes <= len; i += simd::kDoubleLanes) {
+    apply4(acc + i, mt + i);
+  }
+  if (i < len) {
+    std::uint64_t tail[simd::kDoubleLanes] = {};
+    std::copy(acc + i, acc + len, tail);
+    apply4(tail, mt + i);
+    std::copy(tail, tail + (len - i), acc + i);
+  }
+}
+
+template <bool kSubtract>
+void add_mt19937_64_blocks(std::uint64_t* acc, std::size_t n,
+                           std::uint64_t engine_seed) {
+  std::uint64_t mt[kMtWords + 1];
+  mt[0] = engine_seed;
+  for (std::size_t i = 1; i < kMtWords; ++i) {
+    mt[i] = kMtInitMult * (mt[i - 1] ^ (mt[i - 1] >> 62)) + i;
+  }
+  for (std::size_t off = 0; off < n; off += kMtWords) {
+    twist_mt19937_64(mt);
+    apply_tempered<kSubtract>(acc + off, mt, std::min(kMtWords, n - off));
+  }
+}
+
+void add_mt19937_64(std::uint64_t* acc, std::size_t n,
+                    std::uint64_t engine_seed, bool subtract) {
+  if (subtract) {
+    add_mt19937_64_blocks<true>(acc, n, engine_seed);
+  } else {
+    add_mt19937_64_blocks<false>(acc, n, engine_seed);
+  }
+}
+
 double sum_d(const double* x, std::size_t n) {
   f64x4 acc{};
   std::size_t i = 0;
@@ -576,6 +658,7 @@ KernelTable make_table() {
   t.relu_forward = relu_forward;
   t.relu_backward = relu_backward;
   t.add_u64 = add_u64;
+  t.add_mt19937_64 = add_mt19937_64;
   t.sum_d = sum_d;
   t.sum_sq_diff_d = sum_sq_diff_d;
   t.eval_layer_f32 = eval_layer_f32;

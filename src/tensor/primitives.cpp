@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
+#include "util/rng.hpp"
 
 namespace baffle {
 
@@ -85,6 +86,13 @@ void relu_backward(std::span<const float> activated, std::span<float> grad) {
 void add_u64(std::span<std::uint64_t> acc, std::span<const std::uint64_t> x) {
   check(acc.size() == x.size(), "add_u64: length mismatch");
   kernels::active_table().add_u64(acc.data(), x.data(), x.size());
+}
+
+void add_prg_mask(std::span<std::uint64_t> acc, std::uint64_t seed,
+                  bool subtract) {
+  // Rng's constructor seeds its std::mt19937_64 with split_mix(seed).
+  kernels::active_table().add_mt19937_64(acc.data(), acc.size(),
+                                         Rng::split_mix(seed), subtract);
 }
 
 double sum(std::span<const double> xs) {

@@ -49,6 +49,12 @@ void relu_backward(std::span<const float> activated, std::span<float> grad);
 /// acc += x elementwise in Z_2^64 (secure-aggregation mask sums).
 void add_u64(std::span<std::uint64_t> acc, std::span<const std::uint64_t> x);
 
+/// acc += m (or acc -= m when `subtract`) elementwise in Z_2^64, where m
+/// is the first acc.size() draws of Rng(seed).next_u64(): the
+/// secure-aggregation pair mask, generated a block at a time.
+void add_prg_mask(std::span<std::uint64_t> acc, std::uint64_t seed,
+                  bool subtract);
+
 double sum(std::span<const double> xs);
 /// Sum of (x - center)^2 — the stddev inner loop.
 double sum_sq_diff(std::span<const double> xs, double center);

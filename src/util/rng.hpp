@@ -57,7 +57,7 @@ class Rng {
   /// child.
   Rng fork();
 
-  /// Raw 64-bit draw (used by the secure-aggregation mask PRG).
+  /// Raw 64-bit draw.
   std::uint64_t next_u64() { return engine_(); }
 
   /// SplitMix64 hash step; used for seed derivation.

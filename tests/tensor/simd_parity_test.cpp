@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -350,6 +351,47 @@ TEST_F(SimdParity, AddU64MatchesScalarWithWraparound) {
       ASSERT_EQ(got[i], ref[i]) << "index " << i;
     }
   }
+}
+
+// add_prg_mask must reproduce std::mt19937_64 word for word, on every
+// arm: lengths straddle the 312-word twist block and include the vision
+// (2762) and FEMNIST (10718) model sizes. The random base makes about
+// half of the adds and subtracts wrap around 2^64.
+const std::size_t kMaskLens[] = {0, 1, 311, 312, 313, 624, 2762, 10718};
+
+void expect_prg_mask_matches_mt19937_64() {
+  Rng base_rng(29);
+  for (std::uint64_t seed : {0ull, 1ull, 99ull, 0x9e3779b97f4a7c15ull, ~0ull}) {
+    for (std::size_t n : kMaskLens) {
+      for (bool subtract : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " n=" << n
+                                          << " subtract=" << subtract);
+        std::vector<std::uint64_t> got(n);
+        for (auto& v : got) v = base_rng.next_u64();
+        std::vector<std::uint64_t> want = got;
+        std::mt19937_64 engine(Rng::split_mix(seed));
+        for (auto& v : want) {
+          const std::uint64_t w = engine();
+          v = subtract ? v - w : v + w;
+        }
+        add_prg_mask(got, seed, subtract);
+        ASSERT_EQ(got, want);
+      }
+    }
+  }
+}
+
+// Runs on whichever arm is dispatched, so the forced-scalar CI leg checks
+// the scalar arm against the standard engine too.
+TEST(SimdParityActiveArm, PrgMaskMatchesMt19937_64) {
+  expect_prg_mask_matches_mt19937_64();
+}
+
+TEST_F(SimdParity, PrgMaskMatchesMt19937_64OnBothArms) {
+  ASSERT_TRUE(simd::force_isa(simd::Isa::kScalar));
+  expect_prg_mask_matches_mt19937_64();
+  ASSERT_TRUE(simd::force_isa(simd::Isa::kVector));
+  expect_prg_mask_matches_mt19937_64();
 }
 
 TEST_F(SimdParity, DoubleSumsMatchScalar) {

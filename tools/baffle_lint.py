@@ -148,6 +148,7 @@ class Linter:
         "squared_l2": ["l2_norm", "squared_l2"],
         "sum_d": ["sum(", "sum ("],
         "sum_sq_diff_d": ["sum_sq_diff"],
+        "add_mt19937_64": ["add_prg_mask"],
     }
 
     # The reduced-precision evaluation arm (DESIGN.md §14) lives in its
