@@ -8,24 +8,19 @@
 //                shared packed input, fused layer-1 GEMMs per model
 //                chunk (bit-identical predictions to sequential, by
 //                construction);
-//   bf16/int8    the guarded reduced-precision arms, serial (evaluation
-//                only; low-margin argmaxes re-run in fp32);
-//   *_par        the same three engine arms with the tile sweep fanned
-//                out across the global thread pool.
+//   fp32_par     the same engine with the tile sweep fanned out across
+//                the global thread pool.
 //
 // Parity is the gate: fp32 predictions must equal sequential ones
-// exactly, the reduced arms' confusion matrices must match fp32 —
-// identical CMs mean identical error-variation points, hence identical
-// votes/φ/τ — and every parallel arm's predictions must be BYTE-EQUAL
-// to its serial arm's (thread-count invariance, DESIGN.md §17). Prints
-// the sweep table and writes BENCH_multieval.json; exit is nonzero
-// whenever parity or bit-identity fails, and — on full (non-smoke)
-// runs at ℓ ≥ 10, following the sweep_bench precedent — when the int8
-// arm misses 2x over sequential or the parallel fp32 arm misses 2x over
-// serial fp32. The speed gates are enforced only with ≥ 4 hardware
-// cores AND a ≥ 4-thread pool: threading cannot pay on a starved
-// container, and the reduced-precision margins also thin when every arm
-// shares one core, so a 1-core CI box must still report
+// exactly, and the parallel arm's predictions must be BYTE-EQUAL to the
+// serial arm's (thread-count invariance, DESIGN.md §17). Prints the
+// sweep table and writes BENCH_multieval.json; exit is nonzero whenever
+// parity or bit-identity fails, and — on full (non-smoke) runs at
+// ℓ ≥ 10, following the sweep_bench precedent — when batched validation
+// (fp32_par) misses 2x over sequential or the parallel arm misses 2x
+// over the serial fp32 arm. The speed gates are enforced only with ≥ 4
+// hardware cores AND a ≥ 4-thread pool: threading cannot pay on a
+// starved container, so a 1-core CI box must still report
 // bit_identical=true without a spurious gate failure.
 
 #include <algorithm>
@@ -37,7 +32,6 @@
 
 #include "core/history.hpp"
 #include "data/synth.hpp"
-#include "metrics/confusion.hpp"
 #include "nn/multi_eval.hpp"
 #include "util/thread_pool.hpp"
 
@@ -81,7 +75,9 @@ BenchSetup make_setup(bool smoke) {
 
 using PredTable = std::vector<std::vector<std::size_t>>;  // model × sample
 
-double median(std::vector<double>& v) {
+// Takes a copy: the per-repetition series must stay in repetition order
+// so the speedup ratios below pair samples from the same repetition.
+double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
@@ -90,38 +86,30 @@ struct SweepRow {
   std::size_t lookback = 0;
   double sequential_ms = 0.0;
   double fp32_ms = 0.0;
-  double bf16_ms = 0.0;
-  double int8_ms = 0.0;
   double fp32_par_ms = 0.0;
-  double bf16_par_ms = 0.0;
-  double int8_par_ms = 0.0;
   // Medians of the PER-REPETITION baseline/arm ratios — on a host with
   // bursty steal time this pairs each arm sample with the baseline
   // sample measured microseconds before it, so load spikes cancel
-  // instead of landing on one arm's median. The serial speedups are
-  // over the sequential arm; the _par speedups are over the SAME arm's
-  // serial tile loop (pure threading gain).
+  // instead of landing on one arm's median. fp32_speedup is the serial
+  // engine over sequential, fp32_par_speedup the parallel engine over
+  // the serial engine (pure threading gain), and batched_speedup the
+  // parallel engine over sequential (what a validator gains).
   double fp32_speedup = 0.0;
-  double bf16_speedup = 0.0;
-  double int8_speedup = 0.0;
   double fp32_par_speedup = 0.0;
-  double int8_par_speedup = 0.0;
+  double batched_speedup = 0.0;
   bool parity_ok = false;
   bool bit_identical = false;
 };
 
-/// One INTERLEAVED measurement of all seven arms: every repetition
-/// times sequential, the three serial engine arms and the three
-/// parallel engine arms back to back, and each arm's median is taken
-/// across repetitions. This host's clock drifts on the scale of a whole
-/// arm's repetition loop (shared core, frequency scaling), so measuring
-/// the arms in separate phases systematically biases whichever arm
-/// lands on the slow stretch; interleaving exposes every arm to the
-/// same drift.
+/// One INTERLEAVED measurement of all three arms: every repetition
+/// times sequential, the serial engine and the parallel engine back to
+/// back, and each arm's median is taken across repetitions. This host's
+/// clock drifts on the scale of a whole arm's repetition loop (shared
+/// core, frequency scaling), so measuring the arms in separate phases
+/// systematically biases whichever arm lands on the slow stretch;
+/// interleaving exposes every arm to the same drift.
 void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
-             PredTable& fp32, PredTable& bf16, PredTable& int8,
-             PredTable& fp32p, PredTable& bf16p, PredTable& int8p,
-             SweepRow& row) {
+             PredTable& fp32, PredTable& fp32p, SweepRow& row) {
   Mlp model(s.arch);
   MlpEvalWorkspace seq_ws;
   MultiModelEval engine(s.arch);
@@ -130,15 +118,10 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
   ser_ws.parallel = false;
   MlpEvalWorkspace par_ws;
   par_ws.parallel = true;
-  std::vector<MultiEvalModel> bfp(models), bbf(models), bi8(models);
-  std::vector<MultiEvalModel> pfp(models), pbf(models), pi8(models);
+  std::vector<MultiEvalModel> bfp(models), pfp(models);
   for (std::size_t v = 0; v < models; ++v) {
     bfp[v] = MultiEvalModel{s.chain[v], fp32[v]};
-    bbf[v] = MultiEvalModel{s.chain[v], bf16[v]};
-    bi8[v] = MultiEvalModel{s.chain[v], int8[v]};
     pfp[v] = MultiEvalModel{s.chain[v], fp32p[v]};
-    pbf[v] = MultiEvalModel{s.chain[v], bf16p[v]};
-    pi8[v] = MultiEvalModel{s.chain[v], int8p[v]};
   }
   // Inner iterations stretch every timed sample to tens of
   // milliseconds: this host steals CPU in ~10 ms chunks, and a chunk
@@ -146,8 +129,7 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
   // than a long one, which systematically compresses the short arms'
   // ratios. All arms of one repetition share the same iteration count.
   const std::size_t iters = models <= 10 ? 4 : (models <= 21 ? 2 : 1);
-  std::vector<double> ms_seq, ms_fp32, ms_bf16, ms_int8;
-  std::vector<double> ms_fp32p, ms_bf16p, ms_int8p;
+  std::vector<double> ms_seq, ms_fp32, ms_fp32p;
   using clock = std::chrono::steady_clock;
   const auto lap = [&](clock::time_point& t) {
     const auto t1 = clock::now();
@@ -156,9 +138,7 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
     return d / static_cast<double>(iters);
   };
   const auto engine_arm = [&](std::vector<MultiEvalModel>& batch,
-                              MlpEvalWorkspace& ws, EvalPrecision prec,
-                              clock::time_point& t) {
-    ws.precision = prec;
+                              MlpEvalWorkspace& ws, clock::time_point& t) {
     for (std::size_t it = 0; it < iters; ++it) engine.predict_many(batch, ws);
     return lap(t);
   };
@@ -171,29 +151,17 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
       }
     }
     const double d_seq = lap(t);
-    const double d_fp32 = engine_arm(bfp, ser_ws, EvalPrecision::kFp32, t);
-    const double d_fp32p = engine_arm(pfp, par_ws, EvalPrecision::kFp32, t);
-    const double d_bf16 = engine_arm(bbf, ser_ws, EvalPrecision::kBf16, t);
-    const double d_bf16p = engine_arm(pbf, par_ws, EvalPrecision::kBf16, t);
-    const double d_int8 = engine_arm(bi8, ser_ws, EvalPrecision::kInt8, t);
-    const double d_int8p = engine_arm(pi8, par_ws, EvalPrecision::kInt8, t);
+    const double d_fp32 = engine_arm(bfp, ser_ws, t);
+    const double d_fp32p = engine_arm(pfp, par_ws, t);
     if (rep >= s.warmup) {
       ms_seq.push_back(d_seq);
       ms_fp32.push_back(d_fp32);
-      ms_bf16.push_back(d_bf16);
-      ms_int8.push_back(d_int8);
       ms_fp32p.push_back(d_fp32p);
-      ms_bf16p.push_back(d_bf16p);
-      ms_int8p.push_back(d_int8p);
     }
   }
   row.sequential_ms = median(ms_seq);
   row.fp32_ms = median(ms_fp32);
-  row.bf16_ms = median(ms_bf16);
-  row.int8_ms = median(ms_int8);
   row.fp32_par_ms = median(ms_fp32p);
-  row.bf16_par_ms = median(ms_bf16p);
-  row.int8_par_ms = median(ms_int8p);
   std::vector<double> ratio(ms_seq.size());
   const auto ratio_median = [&](const std::vector<double>& base,
                                 const std::vector<double>& arm) {
@@ -203,29 +171,8 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
     return median(ratio);
   };
   row.fp32_speedup = ratio_median(ms_seq, ms_fp32);
-  row.bf16_speedup = ratio_median(ms_seq, ms_bf16);
-  row.int8_speedup = ratio_median(ms_seq, ms_int8);
   row.fp32_par_speedup = ratio_median(ms_fp32, ms_fp32p);
-  row.int8_par_speedup = ratio_median(ms_int8, ms_int8p);
-}
-
-ConfusionMatrix tally(const BenchSetup& s,
-                      const std::vector<std::size_t>& preds) {
-  ConfusionMatrix cm(s.holdout.num_classes());
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    cm.record(s.holdout.labels()[i], static_cast<int>(preds[i]));
-  }
-  return cm;
-}
-
-bool same_cm(const ConfusionMatrix& a, const ConfusionMatrix& b) {
-  const int n = static_cast<int>(a.num_classes());
-  for (int t = 0; t < n; ++t) {
-    for (int p = 0; p < n; ++p) {
-      if (a.count(t, p) != b.count(t, p)) return false;
-    }
-  }
-  return true;
+  row.batched_speedup = ratio_median(ms_seq, ms_fp32p);
 }
 
 }  // namespace
@@ -240,8 +187,8 @@ int main(int argc, char** argv) {
   const std::size_t m = setup.holdout.size();
   const std::size_t threads = ThreadPool::global().size();
   const std::size_t cores = std::thread::hardware_concurrency();
-  // sweep_bench precedent: threading (and the SIMD margins it shares a
-  // machine with) cannot be expected to pay on a starved container.
+  // sweep_bench precedent: threading cannot be expected to pay on a
+  // starved container.
   const bool multi_core = cores >= 4 && threads >= 4;
   std::printf("BM_MultiModelEval: %zu samples, arch {%zu,%zu,%zu}, %zu "
               "timed reps/cell, %zu pool threads / %zu cores%s%s\n",
@@ -249,9 +196,9 @@ int main(int argc, char** argv) {
               setup.arch.layer_dims[2], setup.timed, threads, cores,
               smoke ? " (smoke)" : "",
               multi_core ? "" : " [speed gates waived]");
-  std::printf("%8s %12s %10s %10s %10s %10s %8s %8s %7s %6s\n", "lookback",
-              "seq ms", "fp32 ms", "int8 ms", "fp32p ms", "int8p ms",
-              "int8 spd", "par spd", "parity", "bitid");
+  std::printf("%8s %12s %10s %10s %8s %8s %8s %7s %6s\n", "lookback",
+              "seq ms", "fp32 ms", "fp32p ms", "fp32 spd", "par spd",
+              "bat spd", "parity", "bitid");
 
   std::vector<SweepRow> rows;
   bool all_parity = true;
@@ -261,46 +208,34 @@ int main(int argc, char** argv) {
     const std::size_t models = ell + 1;
     PredTable seq(models, std::vector<std::size_t>(m));
     PredTable fp32(models, std::vector<std::size_t>(m));
-    PredTable bf16(models, std::vector<std::size_t>(m));
-    PredTable int8(models, std::vector<std::size_t>(m));
     PredTable fp32p(models, std::vector<std::size_t>(m));
-    PredTable bf16p(models, std::vector<std::size_t>(m));
-    PredTable int8p(models, std::vector<std::size_t>(m));
 
     SweepRow row;
     row.lookback = ell;
-    run_row(setup, models, seq, fp32, bf16, int8, fp32p, bf16p, int8p, row);
+    run_row(setup, models, seq, fp32, fp32p, row);
 
-    // fp32 engine arm: bit-identical predictions. Reduced arms:
-    // identical confusion matrices (⇒ identical votes/φ/τ downstream).
-    // Parallel arms: byte-equal to their serial arm, per precision —
-    // the tile decomposition writes disjoint slices and reorders no
-    // reduction, so thread count must not change a single prediction.
+    // Serial engine: bit-identical predictions to sequential. Parallel
+    // engine: byte-equal to the serial engine — the tile decomposition
+    // writes disjoint slices and reorders no reduction, so thread count
+    // must not change a single prediction.
     row.parity_ok = true;
     row.bit_identical = true;
     for (std::size_t v = 0; v < models; ++v) {
       if (fp32[v] != seq[v]) row.parity_ok = false;
-      const ConfusionMatrix ref = tally(setup, seq[v]);
-      if (!same_cm(ref, tally(setup, bf16[v]))) row.parity_ok = false;
-      if (!same_cm(ref, tally(setup, int8[v]))) row.parity_ok = false;
       if (fp32p[v] != fp32[v]) row.bit_identical = false;
-      if (bf16p[v] != bf16[v]) row.bit_identical = false;
-      if (int8p[v] != int8[v]) row.bit_identical = false;
     }
     all_parity = all_parity && row.parity_ok;
     all_bitid = all_bitid && row.bit_identical;
     if (!smoke && multi_core && ell >= 10) {
-      if (row.int8_speedup < 2.0) speedup_ok = false;
+      if (row.batched_speedup < 2.0) speedup_ok = false;
       if (row.fp32_par_speedup < 2.0) speedup_ok = false;
     }
     rows.push_back(row);
     std::printf(
-        "%8zu %9.3f ms %7.3f ms %7.3f ms %7.3f ms %7.3f ms %7.2fx %7.2fx "
-        "%7s %6s\n",
-        row.lookback, row.sequential_ms, row.fp32_ms, row.int8_ms,
-        row.fp32_par_ms, row.int8_par_ms, row.int8_speedup,
-        row.fp32_par_speedup, row.parity_ok ? "ok" : "FAIL",
-        row.bit_identical ? "ok" : "FAIL");
+        "%8zu %9.3f ms %7.3f ms %7.3f ms %7.2fx %7.2fx %7.2fx %7s %6s\n",
+        row.lookback, row.sequential_ms, row.fp32_ms, row.fp32_par_ms,
+        row.fp32_speedup, row.fp32_par_speedup, row.batched_speedup,
+        row.parity_ok ? "ok" : "FAIL", row.bit_identical ? "ok" : "FAIL");
   }
 
   FILE* f = std::fopen("BENCH_multieval.json", "w");
@@ -328,17 +263,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"lookback\": %zu, \"sequential_ms\": %.3f, "
-        "\"fp32_ms\": %.3f, \"bf16_ms\": %.3f, \"int8_ms\": %.3f, "
-        "\"fp32_par_ms\": %.3f, \"bf16_par_ms\": %.3f, "
-        "\"int8_par_ms\": %.3f, "
-        "\"fp32_speedup\": %.3f, \"bf16_speedup\": %.3f, "
-        "\"int8_speedup\": %.3f, \"fp32_par_speedup\": %.3f, "
-        "\"int8_par_speedup\": %.3f, \"parity_ok\": %s, "
+        "\"fp32_ms\": %.3f, \"fp32_par_ms\": %.3f, "
+        "\"fp32_speedup\": %.3f, \"fp32_par_speedup\": %.3f, "
+        "\"batched_speedup\": %.3f, \"parity_ok\": %s, "
         "\"bit_identical\": %s}%s\n",
-        row.lookback, row.sequential_ms, row.fp32_ms, row.bf16_ms,
-        row.int8_ms, row.fp32_par_ms, row.bf16_par_ms, row.int8_par_ms,
-        row.fp32_speedup, row.bf16_speedup, row.int8_speedup,
-        row.fp32_par_speedup, row.int8_par_speedup,
+        row.lookback, row.sequential_ms, row.fp32_ms, row.fp32_par_ms,
+        row.fp32_speedup, row.fp32_par_speedup, row.batched_speedup,
         row.parity_ok ? "true" : "false",
         row.bit_identical ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
@@ -359,8 +289,8 @@ int main(int argc, char** argv) {
   }
   if (!speedup_ok) {
     std::fprintf(stderr,
-                 "multieval_bench: speed gate missed (int8 vs sequential or "
-                 "parallel fp32 vs serial fp32 below 2x at some lookback)\n");
+                 "multieval_bench: speed gate missed (parallel fp32 vs "
+                 "sequential or vs serial fp32 below 2x at some lookback)\n");
     return 1;
   }
   return 0;

@@ -33,11 +33,9 @@ Validator::Validator(Dataset data, MlpConfig arch, ValidatorConfig config)
                "abstention threshold must require at least one variation");
   BAFFLE_CHECK(!data_.empty(), "validator needs a non-empty dataset");
   engine_.bind(data_.features());
-  eval_ws_.precision = config_.eval_precision;
   // The serial workspace backs evaluate_params, which runs under mu_:
   // it must never wait on the pool (see the lock-scope header comment).
   eval_ws_.parallel = false;
-  batch_ws_.precision = config_.eval_precision;
   batch_ws_.parallel = config_.parallel_eval;
 }
 

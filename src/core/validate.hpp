@@ -89,12 +89,6 @@ struct ValidatorConfig {
   /// either way; `false` recomputes everything per round — the pre-PR
   /// baseline the benchmarks and parity tests compare against.
   bool incremental = true;
-  /// Numeric arm for model evaluation (DESIGN.md §14). kFp32 (default)
-  /// is bit-identical to the sequential inference path; kBf16/kInt8 run
-  /// the guarded reduced-precision engine arms — evaluation only, and
-  /// calibrated so votes and confusion matrices stay unchanged on the
-  /// bench scenarios.
-  EvalPrecision eval_precision = EvalPrecision::kFp32;
   /// Fan the batched evaluation engine's tiles out across the global
   /// thread pool (DESIGN.md §17). Predictions — hence votes, φ and τ —
   /// are byte-identical either way; `false` pins the serial engine
@@ -233,9 +227,8 @@ class Validator {
   MlpEvalWorkspace eval_ws_ BAFFLE_GUARDED_BY(mu_);  // serial fallback
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
-  // immutable after its setup-time bind() apart from an internally
-  // synchronized lazy mirror build, and the batch scratch below is
-  // confined to the single in-flight validate(): validate() calls on
+  // immutable after its setup-time bind(), and the batch scratch below
+  // is confined to the single in-flight validate(): validate() calls on
   // one validator are externally serialized (defense.evaluate invokes
   // each validator once per round; rounds are chained by the task
   // graph), a contract enforced at runtime by `validating_`.

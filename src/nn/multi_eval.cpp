@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <functional>
 
@@ -16,23 +14,6 @@ namespace baffle {
 
 namespace {
 constexpr std::size_t kPC = kernels::kPanelCols;
-
-/// Calibration override for the guard safety factor: when
-/// BAFFLE_GUARD_KAPPA is set to a positive float it replaces BOTH arms'
-/// kappa constants. Used by the calibration harness to locate the
-/// empirical failure boundary (DESIGN.md §14); unset in production.
-float guard_kappa_override() {
-  static const float v = [] {
-    const char* s = std::getenv("BAFFLE_GUARD_KAPPA");
-    return s != nullptr ? std::strtof(s, nullptr) : 0.0f;
-  }();
-  return v;
-}
-
-float guard_kappa(float default_kappa) {
-  const float o = guard_kappa_override();
-  return o > 0.0f ? o : default_kappa;
-}
 
 /// Leased scratch, one slot per (thread, nesting depth) — the
 /// PackScratchLease pattern (tensor/ops.cpp). A plain thread_local
@@ -99,63 +80,9 @@ MultiModelEval::MultiModelEval(MlpConfig config) : config_(std::move(config)) {
     const std::size_t d_out = config_.layer_dims[l + 1];
     BAFFLE_CHECK(d_in > 0 && d_out > 0,
                  "MultiModelEval: zero-width layer");
-    num_weights_ += d_in * d_out;
     num_params_ += d_in * d_out + d_out;
   }
   for (std::size_t d : config_.layer_dims) max_width_ = std::max(max_width_, d);
-  k_pad_ = (config_.layer_dims.front() + 3) & ~std::size_t{3};
-}
-
-// Move transfers the state wholesale without touching either mutex:
-// moves happen only in single-threaded setup, before any concurrent use
-// (class contract above), so there is no capability to hold.
-MultiModelEval::MultiModelEval(MultiModelEval&& other) noexcept
-    BAFFLE_NO_THREAD_SAFETY_ANALYSIS
-    : config_(std::move(other.config_)),
-      num_layers_(other.num_layers_),
-      num_params_(other.num_params_),
-      num_weights_(other.num_weights_),
-      max_width_(other.max_width_),
-      k_pad_(other.k_pad_),
-      samples_(other.samples_),
-      panels_(other.panels_),
-      xpack_(std::move(other.xpack_)),
-      xrows_(std::move(other.xrows_)),
-      xnorm2_(std::move(other.xnorm2_)),
-      guard_v_bf16_(std::move(other.guard_v_bf16_)),
-      guard_v_u8_(std::move(other.guard_v_u8_)),
-      bf16_ready_(other.bf16_ready_),
-      u8_ready_(other.u8_ready_),
-      xpack_bf16_(std::move(other.xpack_bf16_)),
-      xpack_bf16f_(std::move(other.xpack_bf16f_)),
-      xpack_u8_(std::move(other.xpack_u8_)),
-      xscale_u8_(std::move(other.xscale_u8_)),
-      xoffset_u8_(std::move(other.xoffset_u8_)) {}
-
-MultiModelEval& MultiModelEval::operator=(MultiModelEval&& other) noexcept
-    BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
-  if (this == &other) return *this;
-  config_ = std::move(other.config_);
-  num_layers_ = other.num_layers_;
-  num_params_ = other.num_params_;
-  num_weights_ = other.num_weights_;
-  max_width_ = other.max_width_;
-  k_pad_ = other.k_pad_;
-  samples_ = other.samples_;
-  panels_ = other.panels_;
-  xpack_ = std::move(other.xpack_);
-  xrows_ = std::move(other.xrows_);
-  xnorm2_ = std::move(other.xnorm2_);
-  guard_v_bf16_ = std::move(other.guard_v_bf16_);
-  guard_v_u8_ = std::move(other.guard_v_u8_);
-  bf16_ready_ = other.bf16_ready_;
-  u8_ready_ = other.u8_ready_;
-  xpack_bf16_ = std::move(other.xpack_bf16_);
-  xpack_bf16f_ = std::move(other.xpack_bf16f_);
-  xpack_u8_ = std::move(other.xpack_u8_);
-  xscale_u8_ = std::move(other.xscale_u8_);
-  xoffset_u8_ = std::move(other.xoffset_u8_);
-  return *this;
 }
 
 void MultiModelEval::fill_layer_views(std::span<const float> params,
@@ -184,274 +111,6 @@ void MultiModelEval::bind(const Matrix& x) {
   pack_bt_panels(x, xpack_);
   samples_ = x.rows();
   panels_ = (samples_ + kPC - 1) / kPC;
-  // Reduced-precision mirrors of the pack are rebuilt lazily on demand.
-  {
-    MutexLock lock(mirror_mu_);
-    bf16_ready_ = false;
-    u8_ready_ = false;
-  }
-  xpack_bf16_.clear();
-  xpack_bf16f_.clear();
-  xpack_u8_.clear();
-  xscale_u8_.clear();
-  xoffset_u8_.clear();
-  guard_v_u8_.clear();  // rebuilt with the u8 mirror
-  // Row-major copy plus per-sample magnitude statistics for the
-  // reduced-precision guard (sample = packed column). Rows are
-  // independent — per-row fold-left accumulation is unchanged — so the
-  // block fan-out below is byte-identical to the serial loop.
-  const std::size_t d = x.cols();
-  xrows_.resize(samples_ * d);
-  if (samples_ > 0) {
-    std::memcpy(xrows_.data(), x.flat().data(),
-                samples_ * d * sizeof(float));
-  }
-  xnorm2_.resize(samples_);
-  guard_v_bf16_.resize(samples_);
-  constexpr float kBf16Rel = 1.0f / 256.0f;  // 2^-8 (see encode_weights)
-  constexpr std::size_t kRowBlock = 256;
-  const std::size_t nblocks = (samples_ + kRowBlock - 1) / kRowBlock;
-  run_for(samples_ * d >= (std::size_t{1} << 18), nblocks,
-          [&](std::size_t blk) {
-            const std::size_t r0 = blk * kRowBlock;
-            const std::size_t r1 = std::min(samples_, r0 + kRowBlock);
-            for (std::size_t r = r0; r < r1; ++r) {
-              double row_sq = 0.0;
-              float row_max = 0.0f;
-              const float* row = xrows_.data() + r * d;
-              for (std::size_t c = 0; c < d; ++c) {
-                const float a = std::fabs(row[c]);
-                row_sq += static_cast<double>(a) * a;
-                row_max = std::max(row_max, a);
-              }
-              xnorm2_[r] = static_cast<float>(row_sq);
-              const float step = kBf16Rel * row_max;
-              guard_v_bf16_[r] = step * step;
-            }
-          });
-}
-
-void MultiModelEval::ensure_pack(EvalPrecision prec) {
-  if (prec == EvalPrecision::kFp32) return;
-  // Serial build under the mutex on purpose: touching the pool while
-  // holding a lock would reinstate the help-drain reentrancy hazard the
-  // leases exist to avoid, and the build is a once-per-bind conversion
-  // pass. Later calls take this lock only for the flag check; the
-  // release/acquire pair orders their lock-free mirror reads after the
-  // builder's writes.
-  MutexLock lock(mirror_mu_);
-  if (prec == EvalPrecision::kBf16) {
-    if (!bf16_ready_) {
-      build_bf16_pack();
-      bf16_ready_ = true;
-    }
-  } else {
-    if (!u8_ready_) {
-      build_u8_pack();
-      u8_ready_ = true;
-    }
-  }
-}
-
-void MultiModelEval::build_bf16_pack() {
-  const std::size_t d = config_.layer_dims.front();
-  const std::size_t n = panels_ * d * kPC;
-  xpack_bf16_.resize(n);
-  const kernels::KernelTable& t = kernels::active_table();
-  t.convert_f32_bf16(xpack_.data(), xpack_bf16_.data(), n);
-  // Widened-once fp32 image of the rounded pack (widening is exact, so
-  // the fp32 kernel on this image computes the bf16 arm bit-for-bit).
-  xpack_bf16f_.resize(n);
-  t.convert_bf16_f32(xpack_bf16_.data(), xpack_bf16f_.data(), n);
-}
-
-void MultiModelEval::build_u8_pack() {
-  const std::size_t d = config_.layer_dims.front();
-  const std::size_t n = panels_ * k_pad_ * kPC;
-  xpack_u8_.resize(n);
-  xscale_u8_.resize(panels_ * kPC);
-  xoffset_u8_.resize(panels_ * kPC);
-  const kernels::KernelTable& t = kernels::active_table();
-  for (std::size_t jp = 0; jp < panels_; ++jp) {
-    kernels::QuantizePanelU8Args q{
-        xpack_.data() + jp * d * kPC, xpack_u8_.data() + jp * k_pad_ * kPC,
-        xscale_u8_.data() + jp * kPC, xoffset_u8_.data() + jp * kPC,
-        d,                            k_pad_};
-    t.quantize_panel_u8(q);
-  }
-  // Per-sample squared quantization step for the guard's flag test
-  // (real samples only — the last panel's padding columns carry a
-  // placeholder scale).
-  guard_v_u8_.resize(samples_);
-  for (std::size_t s = 0; s < samples_; ++s) {
-    const float step = xscale_u8_[s];
-    guard_v_u8_[s] = step * step;
-  }
-}
-
-void MultiModelEval::encode_weights_bf16(std::span<const LayerView> layers,
-                                         std::size_t model, CallScratch& cs,
-                                         PanelScratch& ps) const {
-  const kernels::KernelTable& t = kernels::active_table();
-  std::uint16_t* dst = cs.wq_bf16.data() + model * num_weights_;
-  for (const LayerView& lv : layers) {
-    t.convert_f32_bf16(lv.w, dst, lv.d_in * lv.d_out);
-    dst += lv.d_in * lv.d_out;
-  }
-  // Widen the rounded weights back once per model; the tile loop then
-  // reuses the fp32 layer kernel (see build_bf16_pack).
-  t.convert_bf16_f32(cs.wq_bf16.data() + model * num_weights_,
-                     cs.wq_bf16f.data() + model * num_weights_,
-                     num_weights_);
-  // Layer-0 error variance components for the guard threshold: bf16
-  // rounding perturbs every operand by at most ~2^-9 relative (half a
-  // 2^-8 mantissa ulp), so the effective per-element "step" is bounded
-  // by 2^-8 * max|w| for a weight row and, per sample, 2^-8 * max|x|
-  // for the input (the latter carried per sample in guard_v_bf16_).
-  // Independent per-term rounding errors combine as variances:
-  //   var_i(s) = a_i * ||x_s||^2 + b_i * v_s
-  // with a_i = (step_w/2)^2 and b_i = sum_p w_pi^2 / 4.
-  const LayerView& lv = layers[0];
-  ps.ehid_a.resize(lv.d_out);
-  ps.ehid_b.resize(lv.d_out);
-  constexpr float kBf16Rel = 1.0f / 256.0f;  // 2^-8
-  for (std::size_t i = 0; i < lv.d_out; ++i) {
-    float amax = 0.0f;
-    float wsq = 0.0f;
-    for (std::size_t p = 0; p < lv.d_in; ++p) {
-      const float a = std::fabs(lv.w[p * lv.d_out + i]);
-      amax = std::max(amax, a);
-      wsq += a * a;
-    }
-    const float ws_eff = kBf16Rel * amax;
-    ps.ehid_a[i] = 0.25f * ws_eff * ws_eff;
-    ps.ehid_b[i] = 0.25f * wsq;
-  }
-  guard_error_coeffs(layers, guard_kappa(kBf16GuardKappa), model, cs, ps);
-}
-
-void MultiModelEval::encode_weights_u8(std::span<const LayerView> layers,
-                                       std::size_t model, CallScratch& cs,
-                                       PanelScratch& ps) const {
-  // Per-output-row symmetric quantization of the FIRST layer's weights
-  // (the only u8 layer: it is the one whose operand is the shared,
-  // once-quantized X pack). Plain shared code, so the encoding is
-  // identical on every dispatch arm by construction.
-  const LayerView& lv = layers[0];
-  const std::size_t u8_stride = lv.d_out * k_pad_;
-  std::int8_t* wq = cs.wq_u8.data() + model * u8_stride;
-  float* ws = cs.wq_scale.data() + model * lv.d_out;
-  std::int32_t* wr = cs.wq_rowsum.data() + model * lv.d_out;
-  ps.ehid_a.resize(lv.d_out);
-  ps.ehid_b.resize(lv.d_out);
-  // Layer-0 error variance components for the guard threshold: each dot
-  // product term is perturbed by at most 0.5*ws_i per weight (times the
-  // input) and 0.5*step_s per input (times the weight); independent
-  // per-term rounding errors combine as variances (see
-  // encode_weights_bf16), with the per-sample factors ||x_s||^2 and
-  // step_s^2 applied in the guard scan.
-  for (std::size_t i = 0; i < lv.d_out; ++i) {
-    float amax = 0.0f;
-    float wsq = 0.0f;
-    for (std::size_t p = 0; p < lv.d_in; ++p) {
-      const float a = std::fabs(lv.w[p * lv.d_out + i]);
-      amax = std::max(amax, a);
-      wsq += a * a;
-    }
-    const float s = amax > 0.0f ? amax / 127.0f : 1.0f;
-    const float inv = 1.0f / s;
-    ws[i] = s;
-    ps.ehid_a[i] = 0.25f * s * s;
-    ps.ehid_b[i] = 0.25f * wsq;
-    std::int32_t rowsum = 0;
-    for (std::size_t p = 0; p < k_pad_; ++p) {
-      std::int32_t q = 0;
-      if (p < lv.d_in) {
-        q = static_cast<std::int32_t>(
-            std::nearbyint(lv.w[p * lv.d_out + i] * inv));
-        q = std::clamp(q, -127, 127);
-      }
-      wq[i * k_pad_ + p] = static_cast<std::int8_t>(q);
-      rowsum += q;
-    }
-    wr[i] = rowsum;
-  }
-  guard_error_coeffs(layers, guard_kappa(kInt8GuardKappa), model, cs, ps);
-}
-
-void MultiModelEval::guard_error_coeffs(std::span<const LayerView> layers,
-                                        float kappa, std::size_t model,
-                                        CallScratch& cs,
-                                        PanelScratch& ps) const {
-  // Propagate the layer-0 per-unit error variance components through
-  // the downstream fp32 layers. Hidden activations (ReLU, tanh) are
-  // 1-Lipschitz, so they never amplify the error, and variances of
-  // independent per-unit perturbations mix LINEARLY across a dense
-  // layer (var_out_r = sum_p w_pr^2 var_p) — so the two per-sample
-  // components propagate separately and stay separable:
-  //   var_logit_r(s) = A_r * ||x_s||^2 + B_r * v_s.
-  auto propagate = [&](std::vector<float>& vec) -> std::vector<float>& {
-    std::vector<float>* cur = &vec;
-    std::vector<float>* nxt = &ps.err_tmp;
-    for (std::size_t l = 1; l < layers.size(); ++l) {
-      const LayerView& lv = layers[l];
-      nxt->resize(lv.d_out);
-      for (std::size_t r = 0; r < lv.d_out; ++r) {
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < lv.d_in; ++p) {
-          const float w = lv.w[p * lv.d_out + r];
-          acc += w * w * (*cur)[p];
-        }
-        (*nxt)[r] = acc;
-      }
-      std::swap(cur, nxt);
-    }
-    return *cur;
-  };
-  ps.err_a.assign(ps.ehid_a.begin(), ps.ehid_a.end());
-  std::vector<float>& a_fin = propagate(ps.err_a);
-  // propagate() may leave its result in err_tmp; copy before reuse.
-  if (&a_fin != &ps.err_a) ps.err_a = a_fin;
-  ps.err_b.assign(ps.ehid_b.begin(), ps.ehid_b.end());
-  std::vector<float>& b_fin = propagate(ps.err_b);
-  const std::vector<float>& a_vec = ps.err_a;
-  const std::vector<float>& b_vec = b_fin;
-  // A top-2 margin can close by at most err(winner) + err(runner-up)
-  // <= sqrt(2 * (var_win + var_second)). The winner's class is known at
-  // scan time, so the factors are PER CLASS: ga[c]/gb[c] bound the pair
-  // (c, worst other class) — component-wise maxima over o != c keep it
-  // an upper bound on max_o (A_o u + B_o v) for u, v >= 0. The sqrt(2)
-  // and the <= slack fold into the empirically calibrated kappa.
-  const std::size_t n = a_vec.size();
-  std::size_t ia = 0;
-  float a1 = -1.0f, a2 = -1.0f;
-  std::size_t ib = 0;
-  float b1 = -1.0f, b2 = -1.0f;
-  for (std::size_t r = 0; r < n; ++r) {
-    if (a_vec[r] > a1) {
-      a2 = a1;
-      a1 = a_vec[r];
-      ia = r;
-    } else if (a_vec[r] > a2) {
-      a2 = a_vec[r];
-    }
-    if (b_vec[r] > b1) {
-      b2 = b1;
-      b1 = b_vec[r];
-      ib = r;
-    } else if (b_vec[r] > b2) {
-      b2 = b_vec[r];
-    }
-  }
-  const float k2 = 2.0f * kappa * kappa;
-  float* ga = cs.guard_ga.data() + model * n;
-  float* gb = cs.guard_gb.data() + model * n;
-  for (std::size_t c = 0; c < n; ++c) {
-    const float a_other = (c == ia && n > 1) ? a2 : a1;
-    const float b_other = (c == ib && n > 1) ? b2 : b1;
-    ga[c] = k2 * (a_vec[c] + a_other);
-    gb[c] = k2 * (b_vec[c] + b_other);
-  }
 }
 
 const float* MultiModelEval::eval_panel_fp32(std::span<const LayerView> layers,
@@ -484,214 +143,31 @@ const float* MultiModelEval::eval_panel_fp32(std::span<const LayerView> layers,
   return last;
 }
 
-const float* MultiModelEval::eval_panel_bf16(std::span<const LayerView> layers,
-                                             const float* wq,
-                                             const float* xpanel,
-                                             PanelScratch& ps) const {
-  // bf16 numerics at fp32 speed: every operand (weights, inputs,
-  // inter-layer activations) is bf16-ROUNDED, but lives in its exact
-  // fp32 widening, so the fp32 layer kernel reproduces a bf16-storage /
-  // fp32-accumulate pipeline bit-for-bit without any per-tile
-  // conversion work.
-  const kernels::KernelTable& t = kernels::active_table();
-  const float* w = wq;
-  const float* in = xpanel;
-  float* cur = ps.panel_a.data();
-  float* nxt = ps.panel_b.data();
-  const float* last = nullptr;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const LayerView& lv = layers[l];
-    const bool hidden = l + 1 < layers.size();
-    const bool relu = hidden && config_.hidden_activation == Activation::kRelu;
-    kernels::EvalLayerArgs a{w,   1,       lv.d_out, lv.bias, in,
-                             cur, lv.d_in, lv.d_out, relu};
-    t.eval_layer_f32(a);
-    w += lv.d_in * lv.d_out;
-    if (hidden && config_.hidden_activation == Activation::kTanh) {
-      for (std::size_t i = 0; i < lv.d_out * kPC; ++i) {
-        cur[i] = std::tanh(cur[i]);
-      }
-    }
-    last = cur;
-    if (hidden) {
-      // Next layer consumes bf16-rounded activations: round-trip the
-      // fp32 activations through bf16 once.
-      t.convert_f32_bf16(cur, ps.panel_bf16.data(), lv.d_out * kPC);
-      t.convert_bf16_f32(ps.panel_bf16.data(), cur, lv.d_out * kPC);
-      in = cur;
-    }
-    std::swap(cur, nxt);
-  }
-  return last;
-}
-
-const float* MultiModelEval::eval_panel_u8(
-    std::span<const LayerView> layers, const std::int8_t* wq,
-    const float* wscale, const std::int32_t* wrowsum,
-    const std::uint8_t* xpanel, const float* xscale, const float* xoffset,
-    PanelScratch& ps) const {
-  const kernels::KernelTable& t = kernels::active_table();
-  const LayerView& l0 = layers[0];
-  const bool l0_hidden = layers.size() > 1;
-  const bool l0_relu =
-      l0_hidden && config_.hidden_activation == Activation::kRelu;
-  kernels::EvalLayerU8Args a{wq,      wscale,  wrowsum, l0.bias,
-                             xpanel,  xscale,  xoffset, ps.panel_a.data(),
-                             k_pad_,  l0.d_out, l0_relu};
-  t.eval_layer_u8(a);
-  if (l0_hidden && config_.hidden_activation == Activation::kTanh) {
-    for (std::size_t i = 0; i < l0.d_out * kPC; ++i) {
-      ps.panel_a.data()[i] = std::tanh(ps.panel_a.data()[i]);
-    }
-  }
-  if (!l0_hidden) return ps.panel_a.data();
-  // Remaining layers run fp32: their operands are per-model activations
-  // whose quantization would cost as much as it saves (only the shared
-  // X pack amortizes quantization across models).
-  const float* in = ps.panel_a.data();
-  float* cur = ps.panel_b.data();
-  float* nxt = ps.panel_a.data();
-  const float* last = nullptr;
-  for (std::size_t l = 1; l < layers.size(); ++l) {
-    const LayerView& lv = layers[l];
-    const bool hidden = l + 1 < layers.size();
-    const bool relu = hidden && config_.hidden_activation == Activation::kRelu;
-    kernels::EvalLayerArgs fa{lv.w, 1,   lv.d_out, lv.bias, in,
-                              cur,  lv.d_in,       lv.d_out, relu};
-    t.eval_layer_f32(fa);
-    if (hidden && config_.hidden_activation == Activation::kTanh) {
-      for (std::size_t i = 0; i < lv.d_out * kPC; ++i) {
-        cur[i] = std::tanh(cur[i]);
-      }
-    }
-    last = cur;
-    in = cur;
-    std::swap(cur, nxt);
-  }
-  return last;
-}
-
 void MultiModelEval::run_tile(std::span<const MultiEvalModel> models,
                               std::size_t m0, std::size_t mend,
                               std::size_t jb, std::size_t jend,
-                              EvalPrecision prec, const CallScratch& cs,
-                              PanelScratch& ps) const {
+                              const CallScratch& cs, PanelScratch& ps) const {
   const kernels::KernelTable& t = kernels::active_table();
   const std::size_t d = config_.layer_dims.front();
   const std::size_t classes = config_.layer_dims.back();
   ps.panel_a.resize(max_width_ * kPC);
   ps.panel_b.resize(max_width_ * kPC);
-  if (prec == EvalPrecision::kBf16) ps.panel_bf16.resize(max_width_ * kPC);
-  const std::size_t u8_stride = config_.layer_dims[1] * k_pad_;
-  const std::size_t unit_stride = config_.layer_dims[1];
   for (std::size_t mi = m0; mi < mend; ++mi) {
     std::span<const LayerView> views{cs.views.data() + mi * num_layers_,
                                      num_layers_};
-    float* mg = cs.margin_ptr[mi];
+    float* mg = models[mi].margins.empty() ? nullptr
+                                           : models[mi].margins.data();
     for (std::size_t jp = jb; jp < jend; ++jp) {
       const std::size_t j0 = jp * kPC;
       const std::size_t cols = std::min(kPC, samples_ - j0);
-      const float* logits = nullptr;
-      switch (prec) {
-        case EvalPrecision::kFp32:
-          logits = eval_panel_fp32(views, xpack_.data() + jp * d * kPC, ps);
-          break;
-        case EvalPrecision::kBf16:
-          logits = eval_panel_bf16(views,
-                                   cs.wq_bf16f.data() + mi * num_weights_,
-                                   xpack_bf16f_.data() + jp * d * kPC, ps);
-          break;
-        case EvalPrecision::kInt8:
-          logits = eval_panel_u8(views, cs.wq_u8.data() + mi * u8_stride,
-                                 cs.wq_scale.data() + mi * unit_stride,
-                                 cs.wq_rowsum.data() + mi * unit_stride,
-                                 xpack_u8_.data() + jp * k_pad_ * kPC,
-                                 xscale_u8_.data() + jp * kPC,
-                                 xoffset_u8_.data() + jp * kPC, ps);
-          break;
-      }
+      const float* logits =
+          eval_panel_fp32(views, xpack_.data() + jp * d * kPC, ps);
       kernels::ArgmaxMarginArgs am{logits, classes, cols,
                                    models[mi].preds.data() + j0,
                                    mg != nullptr ? mg + j0 : nullptr};
       t.argmax_margin_panel(am);
     }
   }
-}
-
-void MultiModelEval::guard_reeval(std::span<const MultiEvalModel> models,
-                                  EvalPrecision prec, bool parallel,
-                                  CallScratch& cs) const {
-  const kernels::KernelTable& t = kernels::active_table();
-  const std::size_t d = config_.layer_dims.front();
-  const std::size_t classes = config_.layer_dims.back();
-  const float* u = xnorm2_.data();
-  const float* v = prec == EvalPrecision::kBf16 ? guard_v_bf16_.data()
-                                                : guard_v_u8_.data();
-  // Flag scan, one independent task per model: the margins it reads are
-  // bit-identical to the serial pass's, so each model's flagged set
-  // (ascending sample order) is schedule-invariant.
-  cs.flagged.resize(models.size());
-  run_for(parallel, models.size(), [&](std::size_t mi) {
-    // Sqrt-free flag test: margin^2 against this (model, sample) pair's
-    // error-variance threshold (see guard_error_coeffs).
-    std::vector<std::size_t>& list = cs.flagged[mi];
-    list.clear();
-    const float* ga = cs.guard_ga.data() + mi * classes;
-    const float* gb = cs.guard_gb.data() + mi * classes;
-    const float* mg = cs.margin_ptr[mi];
-    const std::size_t* preds = models[mi].preds.data();
-    for (std::size_t s = 0; s < samples_; ++s) {
-      const std::size_t c = preds[s];
-      if (mg[s] * mg[s] < ga[c] * u[s] + gb[c] * v[s]) {
-        list.push_back(s);
-      }
-    }
-  });
-  // Chunk-batched re-evaluation (ROADMAP item 4): one worklist of
-  // compact ≤16-sample panels spanning EVERY model's flagged set, so a
-  // handful of high-flag-rate models cannot serialize the pass. Panel
-  // contents match the serial per-model compaction exactly (same
-  // ascending order, same 16-sample grouping) and each task rewrites a
-  // disjoint set of (model, sample) predictions.
-  cs.guard_tasks.clear();
-  std::size_t flagged_total = 0;
-  for (std::size_t mi = 0; mi < models.size(); ++mi) {
-    const std::size_t cnt = cs.flagged[mi].size();
-    flagged_total += cnt;
-    for (std::size_t g0 = 0; g0 < cnt; g0 += kPC) {
-      cs.guard_tasks.emplace_back(mi, g0);
-    }
-  }
-  if (flagged_total == 0) return;
-  run_for(parallel, cs.guard_tasks.size(), [&](std::size_t ti) {
-    const auto [mi, g0] = cs.guard_tasks[ti];
-    const std::vector<std::size_t>& list = cs.flagged[mi];
-    const std::size_t cnt = std::min(kPC, list.size() - g0);
-    PanelLease lease;
-    PanelScratch& ps = *lease;
-    ps.panel_a.resize(max_width_ * kPC);
-    ps.panel_b.resize(max_width_ * kPC);
-    ps.guard_panel.resize(d * kPC);
-    ps.guard_preds.resize(kPC);
-    for (std::size_t c = 0; c < cnt; ++c) {
-      const float* src = xrows_.data() + list[g0 + c] * d;
-      for (std::size_t p = 0; p < d; ++p) {
-        ps.guard_panel[p * kPC + c] = src[p];
-      }
-    }
-    std::span<const LayerView> views{cs.views.data() + mi * num_layers_,
-                                     num_layers_};
-    const float* logits = eval_panel_fp32(views, ps.guard_panel.data(), ps);
-    kernels::ArgmaxMarginArgs am{logits, classes, cnt, ps.guard_preds.data(),
-                                 nullptr};
-    t.argmax_margin_panel(am);
-    std::size_t* preds = models[mi].preds.data();
-    for (std::size_t c = 0; c < cnt; ++c) {
-      preds[list[g0 + c]] = ps.guard_preds[c];
-    }
-  });
-  MetricsRegistry::global().add_counter("multi_eval.guard_samples",
-                                        flagged_total);
 }
 
 void MultiModelEval::predict_into(std::span<const float> params,
@@ -714,56 +190,17 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
   if (samples_ == 0 || models.empty()) return;
   const ScopedTimer run_timer("multi_eval.run");
 
-  const EvalPrecision prec = ws.precision;
-  const bool guarded = prec != EvalPrecision::kFp32;
-  ensure_pack(prec);
   const bool par = ws.parallel && ThreadPool::global().size() > 1;
-
-  const std::size_t classes = config_.layer_dims.back();
-  const std::size_t hidden0 = config_.layer_dims[1];
   const std::size_t nmodels = models.size();
 
   CallLease call;
   CallScratch& cs = *call;
   cs.views.resize(nmodels * num_layers_);
-  cs.margin_ptr.resize(nmodels);
-  if (guarded) {
-    cs.margins.resize(nmodels * samples_);
-    cs.guard_ga.resize(nmodels * classes);
-    cs.guard_gb.resize(nmodels * classes);
-  }
   for (std::size_t i = 0; i < nmodels; ++i) {
-    cs.margin_ptr[i] = !models[i].margins.empty() ? models[i].margins.data()
-                       : guarded ? cs.margins.data() + i * samples_
-                                 : nullptr;
-  }
-  if (prec == EvalPrecision::kBf16) {
-    cs.wq_bf16.resize(nmodels * num_weights_);
-    cs.wq_bf16f.resize(nmodels * num_weights_);
-  } else if (prec == EvalPrecision::kInt8) {
-    cs.wq_u8.resize(nmodels * hidden0 * k_pad_);
-    cs.wq_scale.resize(nmodels * hidden0);
-    cs.wq_rowsum.resize(nmodels * hidden0);
+    fill_layer_views(models[i].params, cs.views.data() + i * num_layers_);
   }
 
-  // Phase 1 — per-model setup: layer views for every model, plus the
-  // per-model weight re-encoding on the reduced-precision arms. Each
-  // model writes only its own slice of the call scratch, so the encode
-  // fan-out is order-independent.
-  const auto setup_model = [&](std::size_t i) {
-    LayerView* views = cs.views.data() + i * num_layers_;
-    fill_layer_views(models[i].params, views);
-    if (prec == EvalPrecision::kBf16) {
-      PanelLease lease;
-      encode_weights_bf16({views, num_layers_}, i, cs, *lease);
-    } else if (prec == EvalPrecision::kInt8) {
-      PanelLease lease;
-      encode_weights_u8({views, num_layers_}, i, cs, *lease);
-    }
-  };
-  run_for(par && guarded, nmodels, setup_model);
-
-  // Phase 2 — the tile sweep. Every (model-chunk × panel-block) tile
+  // The tile sweep. Every (model-chunk × panel-block) tile
   // writes the disjoint prediction/margin slice of its (model, sample)
   // rectangle with the serial loop's per-element arithmetic, so any
   // schedule — including the inline fallback — produces the same bytes.
@@ -775,16 +212,9 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
     const std::size_t jb = (tile % nblocks) * kPanelBlock;
     PanelLease lease;
     run_tile(models, m0, std::min(nmodels, m0 + kModelChunk), jb,
-             std::min(panels_, jb + kPanelBlock), prec, cs, *lease);
+             std::min(panels_, jb + kPanelBlock), cs, *lease);
   });
   MetricsRegistry::global().add_counter("multi_eval.tiles", ntiles);
-
-  if (guarded) {
-    // Any argmax won by less than the model's derived error threshold
-    // is re-decided by the fp32 path, so reduced precision can only
-    // be trusted where it verifiably cannot flip the prediction.
-    guard_reeval(models, prec, par, cs);
-  }
 }
 
 }  // namespace baffle

@@ -66,13 +66,10 @@ struct PackedGemmArgs {
 // The validator's forward passes run over the evaluation set packed
 // ONCE as Xᵀ panels (pack_bt_panels layout: k rows x kPanelCols sample
 // columns, 64-byte aligned, zero-padded tail). Per model and per panel,
-// eval_layer_* computes one dense layer transposed — out = Wᵀ·in — with
-// the bias add (and optionally ReLU) fused into the register epilogue
-// and the output written in the same packed layout, so layers chain
-// panel-by-panel without leaving the cache. The reduced-precision arm
-// (bf16 storage, u8×i8 integer accumulation) lives in
-// tensor/kernels_bf16.cpp and is evaluation-only: training and the
-// default validator path stay fp32.
+// eval_layer_f32 computes one dense layer transposed — out = Wᵀ·in —
+// with the bias add (and optionally ReLU) fused into the register
+// epilogue and the output written in the same packed layout, so layers
+// chain panel-by-panel without leaving the cache.
 
 /// Fused transposed layer over one packed fp32 panel. A = Wᵀ is
 /// addressed a[i * a_row_stride + p * a_p_stride] like PackedGemmArgs
@@ -89,63 +86,10 @@ struct EvalLayerArgs {
   bool relu = false;
 };
 
-/// bf16 storage arm: identical computation with both operands stored as
-/// bf16 (IEEE round-to-nearest-even truncation); products and sums stay
-/// fp32, bias stays fp32.
-struct EvalLayerBf16Args {
-  const std::uint16_t* a = nullptr;  // bf16 Wᵀ, same stride addressing
-  std::size_t a_row_stride = 0;
-  std::size_t a_p_stride = 0;
-  const float* bias = nullptr;
-  const std::uint16_t* in = nullptr;  // packed bf16 panel, k x kPanelCols
-  float* out = nullptr;               // fp32 packed output panel
-  std::size_t k = 0;
-  std::size_t n_out = 0;
-  bool relu = false;
-};
-
-/// int8 arm: u8 activations (per-column affine x ≈ scale·q + offset,
-/// q ∈ [0,127]) against i8 weights (per-output-row scale, q ∈
-/// [-127,127]), exact i32 accumulation, fp32 dequantization epilogue
-///   y[i,c] = acc·(w_scale[i]·in_scale[c])
-///            + in_offset[c]·(w_scale[i]·w_rowsum[i]) + bias[i].
-/// The [0,127] activation range keeps every vpmaddubsw pair sum inside
-/// i16 (2·127·127 < 32768), so the vector arm is saturation-free and
-/// bit-identical to the scalar integer loop.
-struct EvalLayerU8Args {
-  const std::int8_t* wq = nullptr;  // row-major per output row, k_pad wide
-  const float* w_scale = nullptr;   // per output row
-  const std::int32_t* w_rowsum = nullptr;  // per output row: Σ_p wq[i][p]
-  const float* bias = nullptr;
-  const std::uint8_t* in = nullptr;  // packed u8 panel (QuantizePanelU8Args)
-  const float* in_scale = nullptr;   // per column, kPanelCols entries
-  const float* in_offset = nullptr;  // per column, kPanelCols entries
-  float* out = nullptr;              // fp32 packed output panel
-  std::size_t k_pad = 0;             // multiple of 4, zero-padded
-  std::size_t n_out = 0;
-  bool relu = false;
-};
-
-/// fp32 panel → u8 panel with a per-column affine map: s = (max-min)/127
-/// (1 when the column is constant), offset = min, q = rne((x-min)/s)
-/// clamped to [0,127]. The u8 panel interleaves the inner dimension in
-/// blocks of 4: byte [p4*4*kPanelCols + c*4 + t] holds column c, inner
-/// index 4*p4+t — the layout the vpmaddubsw microkernel consumes
-/// directly. Rounding is nearest-even on both arms (std::nearbyint /
-/// cvtps2dq), so the quantized panels are bit-identical across arms.
-struct QuantizePanelU8Args {
-  const float* in = nullptr;    // fp32 panel, k x kPanelCols
-  std::uint8_t* out = nullptr;  // u8 panel, (k_pad/4) x kPanelCols x 4
-  float* scale = nullptr;       // per column, kPanelCols entries
-  float* offset = nullptr;      // per column, kPanelCols entries
-  std::size_t k = 0;
-  std::size_t k_pad = 0;        // multiple of 4; padding quantizes to 0
-};
-
 /// Column argmax over a packed panel with the same first-max tie-break
 /// as argmax_rows_into, plus (when `margins` is non-null) the top-2
-/// margin per column — the reduced-precision guard re-evaluates columns
-/// whose margin falls below threshold through the fp32 path.
+/// margin per column — the parity tests compare margins bit for bit to
+/// check the tiled evaluation beyond the argmax.
 struct ArgmaxMarginArgs {
   const float* in = nullptr;     // packed panel, n_rows x kPanelCols
   std::size_t n_rows = 0;        // >= 1
@@ -196,17 +140,9 @@ struct KernelTable {
   double (*sum_d)(const double*, std::size_t);
   double (*sum_sq_diff_d)(const double*, double center, std::size_t);
 
-  // Batched multi-model evaluation (fused transposed layers, panel
-  // argmax) and the reduced-precision evaluation arm. The fp32 entries'
-  // vector implementations live in kernels_simd.cpp; the bf16/u8
-  // entries' vector implementations live in kernels_bf16.cpp and are
-  // installed via detail::install_reduced_precision_avx2.
+  // Batched multi-model evaluation: fused transposed layers, panel
+  // argmax.
   void (*eval_layer_f32)(const EvalLayerArgs&);
-  void (*eval_layer_bf16)(const EvalLayerBf16Args&);
-  void (*eval_layer_u8)(const EvalLayerU8Args&);
-  void (*quantize_panel_u8)(const QuantizePanelU8Args&);
-  void (*convert_f32_bf16)(const float* in, std::uint16_t* out, std::size_t n);
-  void (*convert_bf16_f32)(const std::uint16_t* in, float* out, std::size_t n);
   void (*argmax_margin_panel)(const ArgmaxMarginArgs&);
 };
 
@@ -217,14 +153,5 @@ const KernelTable& scalar_table();
 const KernelTable* vector_table();
 /// The arm selected by simd::active_isa() (env + CPUID + force_isa).
 const KernelTable& active_table();
-
-namespace detail {
-/// Overwrites the reduced-precision entries of `t` with the AVX2
-/// implementations from kernels_bf16.cpp. Compiles to a no-op stub when
-/// that translation unit was built without AVX2 codegen, leaving the
-/// scalar entries in place. Called only while vector_table() builds its
-/// table — never user code.
-void install_reduced_precision_avx2(KernelTable& t);
-}  // namespace detail
 
 }  // namespace baffle::kernels

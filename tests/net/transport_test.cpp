@@ -114,13 +114,5 @@ TEST(InProcTransport, ByteCountersTrackEachDirection) {
   EXPECT_EQ(pair.client->bytes_received(), 4u);
 }
 
-TEST(SocketTransport, IsAnHonestStub) {
-  EXPECT_THROW(SocketTransport(""), std::exception);
-  SocketTransport transport("127.0.0.1:9999");
-  EXPECT_EQ(transport.address(), "127.0.0.1:9999");
-  EXPECT_STREQ(transport.name(), "socket");
-  EXPECT_THROW(transport.connect(), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace baffle

@@ -23,6 +23,7 @@ EXPECTED = [
     ("no-naked-new", "bad_new.cpp"),
     ("no-libc-random", "bad_rand.cpp"),
     ("raw-sync", "bad_mutex.cpp"),
+    ("env-knob", "bad_env.cpp"),
     ("header-hygiene", "bad_header.hpp"),
     ("dispatch-table", "kernels_simd.cpp"),   # zorp: no SIMD impl
     ("dispatch-table", "simd_parity_test.cpp"),  # zorp: no parity test
@@ -32,6 +33,8 @@ CLEAN = [
     # (rule, path substring) pairs that must NOT be reported
     ("no-iostream", "kernels_scalar.cpp"),
     ("dispatch-table", "frob_rows"),
+    # bad_env.cpp:8 reads BAFFLE_THREADS, which is on the allow-list.
+    ("env-knob", "bad_env.cpp:8"),
     # The sanctioned wrapper layer is exempt (matched on the full
     # fixture path: the rule's advice text also mentions sync.hpp).
     ("raw-sync", os.path.join("src", "util", "sync.hpp")),

@@ -25,6 +25,12 @@ Rules (each failure names the file and the rule id):
                       Analysis sees every critical section. sync.hpp
                       itself is the one sanctioned user of the raw
                       primitives.
+  env-knob            std::getenv under src/** may read only the
+                      documented environment variables (ALLOWED_ENV:
+                      logging, pool size, dispatch pin, bench reps and
+                      fast mode). A new env read is a hidden knob that
+                      can change behaviour without a flag or a config
+                      field.
   header-hygiene      Every header under src/ must be self-contained:
                       `#include "x.hpp"` alone must compile (checked
                       with $CXX -fsyntax-only). Skipped with
@@ -62,6 +68,16 @@ RAW_SYNC = re.compile(
     r'shared_lock)\b')
 RAW_SYNC_INCLUDE = re.compile(
     r'^\s*#\s*include\s*<(mutex|shared_mutex|condition_variable)>')
+GETENV_CALL = re.compile(r'(?<![\w.])(?:std::)?getenv\s*\(')
+GETENV_NAME = re.compile(r'(?<![\w.])(?:std::)?getenv\s*\(\s*"([^"]*)"\s*\)')
+# The only environment variables library code may read.
+ALLOWED_ENV = {
+    "BAFFLE_LOG",
+    "BAFFLE_THREADS",
+    "BAFFLE_FORCE_SCALAR",
+    "BAFFLE_BENCH_REPS",
+    "BAFFLE_BENCH_FAST",
+}
 ALLOW = re.compile(r'//\s*baffle-lint:\s*allow\(([a-z-]+)\)')
 
 TABLE_MEMBER = re.compile(r'\(\s*\*\s*(\w+)\s*\)\s*\(')
@@ -128,6 +144,18 @@ class Linter:
                         self.fail("no-libc-random", path, line_no,
                                   "libc rand()/srand()/time() (use "
                                   "util/rng.hpp so runs are reproducible)")
+                if "env-knob" not in allowed and GETENV_CALL.search(line):
+                    # Names are string literals, which the stripped line
+                    # has blanked out: read them from the raw line.
+                    names = GETENV_NAME.findall(raw)
+                    bad = [n for n in names if n not in ALLOWED_ENV]
+                    if bad or not names:
+                        what = ", ".join(bad) if bad else "a non-literal name"
+                        self.fail("env-knob", path, line_no,
+                                  f"getenv of {what} (only "
+                                  f"{', '.join(sorted(ALLOWED_ENV))} may be "
+                                  "read; configuration goes through flags "
+                                  "and config structs)")
                 if not is_sync_sink and "raw-sync" not in allowed:
                     if RAW_SYNC.search(line) or RAW_SYNC_INCLUDE.search(line):
                         self.fail("raw-sync", path, line_no,
@@ -151,29 +179,15 @@ class Linter:
         "add_mt19937_64": ["add_prg_mask"],
     }
 
-    # The reduced-precision evaluation arm (DESIGN.md §14) lives in its
-    # own TU (kernels_bf16.cpp, spliced into the vector table at install
-    # time), so its vector implementations are checked there instead of
-    # in kernels_simd.cpp.
-    REDUCED_PRECISION_MEMBERS = {
-        "eval_layer_bf16",
-        "eval_layer_u8",
-        "quantize_panel_u8",
-        "convert_f32_bf16",
-        "convert_bf16_f32",
-    }
-
     def lint_dispatch_table(self) -> None:
         table_path = os.path.join(self.root, "src", "tensor", "kernels.hpp")
         scalar_path = os.path.join(self.root, "src", "tensor",
                                    "kernels_scalar.cpp")
         simd_path = os.path.join(self.root, "src", "tensor",
                                  "kernels_simd.cpp")
-        bf16_path = os.path.join(self.root, "src", "tensor",
-                                 "kernels_bf16.cpp")
         parity_path = os.path.join(self.root, "tests", "tensor",
                                    "simd_parity_test.cpp")
-        for p in (table_path, scalar_path, simd_path, bf16_path, parity_path):
+        for p in (table_path, scalar_path, simd_path, parity_path):
             if not os.path.exists(p):
                 self.fail("dispatch-table", p, None, "file missing")
                 return
@@ -193,19 +207,13 @@ class Linter:
 
         scalar = open(scalar_path, encoding="utf-8").read()
         simd = open(simd_path, encoding="utf-8").read()
-        bf16 = open(bf16_path, encoding="utf-8").read()
         parity = open(parity_path, encoding="utf-8").read()
         for name in members:
             if name not in scalar:
                 self.fail("dispatch-table", scalar_path, None,
                           f"table entry '{name}' has no scalar "
                           "implementation")
-            if name in self.REDUCED_PRECISION_MEMBERS:
-                if name not in bf16:
-                    self.fail("dispatch-table", bf16_path, None,
-                              f"table entry '{name}' has no "
-                              "reduced-precision implementation")
-            elif name not in simd:
+            if name not in simd:
                 self.fail("dispatch-table", simd_path, None,
                           f"table entry '{name}' has no SIMD "
                           "implementation")

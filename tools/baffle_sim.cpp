@@ -13,43 +13,17 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.hpp"
+#include "flags.hpp"
 #include "util/metrics.hpp"
 
 namespace {
 
 using namespace baffle;
-
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  bool has(const std::string& key) const { return values.count(key) > 0; }
-
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(),
-                                                       nullptr);
-  }
-  long integer(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? fallback
-               : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool flag(const std::string& key, bool fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return it->second != "0" && it->second != "false";
-  }
-};
+using tools::Flags;
 
 void print_help() {
   std::puts(
@@ -70,9 +44,6 @@ void print_help() {
       "  --no-defense=1             disable the feedback loop\n"
       "  --separate-validators=0|1  independent validating set (0)\n"
       "  --validator-dropout=F      non-response probability (0)\n"
-      "  --eval-precision=fp32|bf16|int8  validator evaluation arm\n"
-      "                             (fp32; reduced arms are guarded,\n"
-      "                             CM-identical — DESIGN.md \u00a714)\n"
       "attack:\n"
       "  --attack=replacement|dba|none   (replacement)\n"
       "  --adaptive=0|1             defense-aware attacker (0)\n"
@@ -108,38 +79,30 @@ std::vector<std::size_t> parse_rounds(const std::string& csv) {
 
 }  // namespace
 
-// GCC 12 emits a spurious -Wrestrict from the inlined std::string copy of
-// the "1" literal below (GCC PR105329); suppress it for the parse loop.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help();
-      return 0;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n",
-                   arg.c_str());
-      return 2;
-    }
-    const std::string body = arg.substr(2);
-    const std::size_t eq = body.find('=');
-    if (eq == std::string::npos) {
-      flags.values.insert_or_assign(body, "1");
-    } else {
-      flags.values.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-    }
+  if (const auto status = tools::parse_flags(
+          argc, argv,
+          {"task", "clients", "server-frac", "alpha", "iid", "secure-agg",
+           "mode", "q", "lookback", "defense-start", "no-defense",
+           "separate-validators", "validator-dropout", "attack", "adaptive",
+           "colluders", "poison-rounds", "vote", "rounds", "transport",
+           "seed", "from-scratch", "quiet", "metrics"},
+          print_help, flags)) {
+    return *status;
   }
+  const auto task = flags.choice("task", "vision", {"vision", "femnist"});
+  const auto mode = flags.choice("mode", "C+S", {"C", "S", "C+S"});
+  const auto attack =
+      flags.choice("attack", "replacement", {"replacement", "dba", "none"});
+  const auto vote =
+      flags.choice("vote", "accept", {"honest", "accept", "reject"});
+  if (!task || !mode || !attack || !vote) return 2;
 
   ExperimentConfig cfg;
-  const std::string task = flags.str("task", "vision");
-  const double default_sfrac = task == "femnist" ? 0.01 : 0.10;
+  const double default_sfrac = *task == "femnist" ? 0.01 : 0.10;
   const double sfrac = flags.num("server-frac", default_sfrac);
-  cfg.scenario = task == "femnist" ? femnist_scenario(sfrac)
+  cfg.scenario = *task == "femnist" ? femnist_scenario(sfrac)
                                    : vision_scenario(sfrac);
   if (flags.has("clients")) {
     cfg.scenario.num_clients =
@@ -149,10 +112,9 @@ int main(int argc, char** argv) {
   cfg.scenario.iid = flags.flag("iid", false);
   cfg.scenario.secure_aggregation = flags.flag("secure-agg", true);
 
-  const std::string mode = flags.str("mode", "C+S");
-  cfg.feedback.mode = mode == "C"   ? DefenseMode::kClientsOnly
-                      : mode == "S" ? DefenseMode::kServerOnly
-                                    : DefenseMode::kClientsAndServer;
+  cfg.feedback.mode = *mode == "C"   ? DefenseMode::kClientsOnly
+                      : *mode == "S" ? DefenseMode::kServerOnly
+                                     : DefenseMode::kClientsAndServer;
   cfg.feedback.quorum = static_cast<std::size_t>(flags.integer("q", 5));
   cfg.feedback.validator.lookback =
       static_cast<std::size_t>(flags.integer("lookback", 20));
@@ -161,34 +123,22 @@ int main(int argc, char** argv) {
   cfg.defense_enabled = !flags.flag("no-defense", false);
   cfg.separate_validators = flags.flag("separate-validators", false);
   cfg.validator_dropout = flags.num("validator-dropout", 0.0);
-  const std::string prec = flags.str("eval-precision", "fp32");
-  if (prec == "bf16") {
-    cfg.feedback.validator.eval_precision = EvalPrecision::kBf16;
-  } else if (prec == "int8") {
-    cfg.feedback.validator.eval_precision = EvalPrecision::kInt8;
-  } else if (prec != "fp32") {
-    std::fprintf(stderr, "unknown --eval-precision: %s\n", prec.c_str());
-    return 2;
-  }
-
-  const std::string attack = flags.str("attack", "replacement");
   cfg.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
     cfg.schedule.poison_rounds =
         parse_rounds(flags.str("poison-rounds", ""));
   }
-  if (attack == "none") cfg.schedule.poison_rounds.clear();
+  if (*attack == "none") cfg.schedule.poison_rounds.clear();
   cfg.schedule.adaptive = flags.flag("adaptive", false);
-  if (attack == "dba") {
+  if (*attack == "dba") {
     cfg.use_dba = true;
     cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
     cfg.dba_colluders =
         static_cast<std::size_t>(flags.integer("colluders", 4));
   }
-  const std::string vote = flags.str("vote", "accept");
-  cfg.malicious_vote = vote == "honest" ? VoteStrategy::kHonest
-                       : vote == "reject" ? VoteStrategy::kAlwaysReject
-                                          : VoteStrategy::kAlwaysAccept;
+  cfg.malicious_vote = *vote == "honest"   ? VoteStrategy::kHonest
+                       : *vote == "reject" ? VoteStrategy::kAlwaysReject
+                                           : VoteStrategy::kAlwaysAccept;
 
   cfg.rounds = static_cast<std::size_t>(flags.integer("rounds", 50));
   cfg.stable_start = !flags.flag("from-scratch", false);
@@ -199,9 +149,9 @@ int main(int argc, char** argv) {
 
   std::printf("baffle_sim: task=%s mode=%s q=%zu l=%zu rounds=%zu seed=%llu"
               " attack=%s%s\n\n",
-              task.c_str(), mode.c_str(), cfg.feedback.quorum,
+              task->c_str(), mode->c_str(), cfg.feedback.quorum,
               cfg.feedback.validator.lookback, cfg.rounds,
-              static_cast<unsigned long long>(seed), attack.c_str(),
+              static_cast<unsigned long long>(seed), attack->c_str(),
               cfg.schedule.adaptive ? " (adaptive)" : "");
 
   const ExperimentResult result = run_experiment(cfg, seed);
@@ -289,14 +239,12 @@ int main(int argc, char** argv) {
   const std::uint64_t engine_runs = registry.timer_count("multi_eval.run");
   if (engine_runs > 0) {
     std::printf("eval engine: %llu batched passes over %llu tiles — "
-                "bind %.2f ms, run %.2f ms, %llu guard re-evals\n",
+                "bind %.2f ms, run %.2f ms\n",
                 static_cast<unsigned long long>(engine_runs),
                 static_cast<unsigned long long>(
                     registry.counter("multi_eval.tiles")),
                 registry.timer_mean_ms("multi_eval.bind"),
-                registry.timer_mean_ms("multi_eval.run"),
-                static_cast<unsigned long long>(
-                    registry.counter("multi_eval.guard_samples")));
+                registry.timer_mean_ms("multi_eval.run"));
   }
   if (flags.has("metrics")) {
     const std::string path = flags.str("metrics", "metrics.csv");
@@ -310,5 +258,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#pragma GCC diagnostic pop

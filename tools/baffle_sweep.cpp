@@ -15,44 +15,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "exp/sweep.hpp"
+#include "flags.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace baffle;
-
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  bool has(const std::string& key) const { return values.count(key) > 0; }
-
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  double num(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(),
-                                                       nullptr);
-  }
-  long integer(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? fallback
-               : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool flag(const std::string& key, bool fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return it->second != "0" && it->second != "false";
-  }
-};
+using tools::Flags;
 
 void print_help() {
   std::puts(
@@ -76,7 +50,8 @@ void print_help() {
       "  --seed=N                   sweep base seed (1)\n"
       "  --serial=1                 serial cell loop (parallel default)\n"
       "  --out-dir=PATH             CSV output directory (.)\n"
-      "  --quiet=1                  suppress the per-cell table\n");
+      "  --quiet=1                  suppress the per-cell table\n"
+      "  --metrics=PATH             dump runtime metrics CSV on exit\n");
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -115,38 +90,23 @@ SweepAxis real_axis(const std::string& name, const std::string& csv,
 
 }  // namespace
 
-// GCC 12 emits a spurious -Wrestrict from the inlined std::string copy of
-// the "1" literal below (GCC PR105329); suppress it for the parse loop.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_help();
-      return 0;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n",
-                   arg.c_str());
-      return 2;
-    }
-    const std::string body = arg.substr(2);
-    const std::size_t eq = body.find('=');
-    if (eq == std::string::npos) {
-      flags.values.insert_or_assign(body, "1");
-    } else {
-      flags.values.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-    }
+  if (const auto status = tools::parse_flags(
+          argc, argv,
+          {"lookback", "q", "alpha", "dropout", "task", "clients", "rounds",
+           "defense-start", "train-per-class", "poison-rounds", "reps", "seed",
+           "serial", "out-dir", "quiet", "metrics"},
+          print_help, flags)) {
+    return *status;
   }
+  const auto task = flags.choice("task", "vision", {"vision", "femnist"});
+  if (!task) return 2;
 
   SweepSpec spec;
-  const std::string task = flags.str("task", "vision");
-  const double sfrac = task == "femnist" ? 0.01 : 0.10;
+  const double sfrac = *task == "femnist" ? 0.01 : 0.10;
   spec.base.scenario =
-      task == "femnist" ? femnist_scenario(sfrac) : vision_scenario(sfrac);
+      *task == "femnist" ? femnist_scenario(sfrac) : vision_scenario(sfrac);
   if (flags.has("clients")) {
     spec.base.scenario.num_clients =
         static_cast<std::size_t>(flags.integer("clients", 50));
@@ -203,7 +163,7 @@ int main(int argc, char** argv) {
   for (const auto& axis : spec.axes) grid *= axis.values.size();
   std::printf("baffle_sweep: task=%s grid=%zu cells x %zu reps, seed=%llu, "
               "%s driver, %zu threads\n",
-              task.c_str(), grid, spec.reps,
+              task->c_str(), grid, spec.reps,
               static_cast<unsigned long long>(spec.base_seed),
               serial ? "serial" : "task-graph",
               ThreadPool::global().size());
@@ -256,5 +216,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#pragma GCC diagnostic pop

@@ -11,7 +11,9 @@ Two layers of checking, applied per file:
 
   2. Speedup fields are compared against the committed baseline with a
      relative tolerance: each numeric field named ``speedup`` or ending
-     in ``_speedup`` must satisfy ``fresh >= baseline * (1 - tol)``.
+     in ``_speedup`` must satisfy ``fresh >= baseline * (1 - tol)``, and
+     a baseline speedup field missing from the fresh file is a failure
+     (a gated number must not vanish silently).
      Timing only means something when both runs enforced their speed
      gates (``speedup_gate_enforced`` true on BOTH files — absent counts
      as false, e.g. a starved or single-core host) and both ran the same
@@ -102,10 +104,14 @@ def gate_file(name, fresh_dir, baseline_dir, tol):
         print(f"bench_gate: {name}: speedups not compared — {why}")
         return fails
 
-    base_vals = speedup_fields(baseline)
-    for label, fresh_val in speedup_fields(fresh).items():
-        base_val = base_vals.get(label)
-        if base_val is None or base_val <= 0.0:
+    fresh_vals = speedup_fields(fresh)
+    for label, base_val in speedup_fields(baseline).items():
+        fresh_val = fresh_vals.get(label)
+        if fresh_val is None:
+            fails.append(f"{name}: {label} is in the baseline but missing "
+                         "from the fresh results")
+            continue
+        if base_val <= 0.0:
             continue
         floor = base_val * (1.0 - tol)
         if fresh_val < floor:
