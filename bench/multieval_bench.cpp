@@ -4,7 +4,8 @@
 //
 // Arms:
 //   sequential   per-model Mlp::predict_into (the pre-engine path);
-//   fp32         MultiModelEval::predict_many, serial tile loop — one
+//   fp32         MultiModelEval::predict_many on a pinned 1-worker pool
+//                (GlobalPoolPin), which runs the tile loop inline — one
 //                shared packed input, fused layer-1 GEMMs per model
 //                chunk (bit-identical predictions to sequential, by
 //                construction);
@@ -114,10 +115,7 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
   MlpEvalWorkspace seq_ws;
   MultiModelEval engine(s.arch);
   engine.bind(s.holdout.features());
-  MlpEvalWorkspace ser_ws;
-  ser_ws.parallel = false;
-  MlpEvalWorkspace par_ws;
-  par_ws.parallel = true;
+  ThreadPool one_worker(1);
   std::vector<MultiEvalModel> bfp(models), pfp(models);
   for (std::size_t v = 0; v < models; ++v) {
     bfp[v] = MultiEvalModel{s.chain[v], fp32[v]};
@@ -138,8 +136,8 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
     return d / static_cast<double>(iters);
   };
   const auto engine_arm = [&](std::vector<MultiEvalModel>& batch,
-                              MlpEvalWorkspace& ws, clock::time_point& t) {
-    for (std::size_t it = 0; it < iters; ++it) engine.predict_many(batch, ws);
+                              clock::time_point& t) {
+    for (std::size_t it = 0; it < iters; ++it) engine.predict_many(batch);
     return lap(t);
   };
   for (std::size_t rep = 0; rep < s.warmup + s.timed; ++rep) {
@@ -151,8 +149,12 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
       }
     }
     const double d_seq = lap(t);
-    const double d_fp32 = engine_arm(bfp, ser_ws, t);
-    const double d_fp32p = engine_arm(pfp, par_ws, t);
+    double d_fp32 = 0.0;
+    {
+      const GlobalPoolPin serial(one_worker);
+      d_fp32 = engine_arm(bfp, t);
+    }
+    const double d_fp32p = engine_arm(pfp, t);
     if (rep >= s.warmup) {
       ms_seq.push_back(d_seq);
       ms_fp32.push_back(d_fp32);

@@ -89,11 +89,6 @@ struct ValidatorConfig {
   /// either way; `false` recomputes everything per round — the pre-PR
   /// baseline the benchmarks and parity tests compare against.
   bool incremental = true;
-  /// Fan the batched evaluation engine's tiles out across the global
-  /// thread pool (DESIGN.md §17). Predictions — hence votes, φ and τ —
-  /// are byte-identical either way; `false` pins the serial engine
-  /// (parity tests, single-core baselines).
-  bool parallel_eval = true;
 };
 
 struct ValidationOutcome {
@@ -201,7 +196,7 @@ class Validator {
   /// order identical to evaluate_confusion's).
   ConfusionMatrix confusion_from_preds(
       std::span<const std::size_t> preds) const;
-  /// One SERIAL fused-engine evaluation (counts a model
+  /// One predict_into evaluation on the calling thread (counts a model
   /// materialization). Under-lock fallback only — it must not wait on
   /// the pool — and after plan/run deposits, only reachable through a
   /// cache eviction race that the window size rules out in practice.
@@ -224,7 +219,6 @@ class Validator {
   std::optional<PendingCandidate> prev_candidate_
       BAFFLE_GUARDED_BY(mu_);  // repeat-candidate memo
   std::vector<std::size_t> preds_scratch_ BAFFLE_GUARDED_BY(mu_);
-  MlpEvalWorkspace eval_ws_ BAFFLE_GUARDED_BY(mu_);  // serial fallback
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind(), and the batch scratch below
@@ -233,7 +227,6 @@ class Validator {
   // each validator once per round; rounds are chained by the task
   // graph), a contract enforced at runtime by `validating_`.
   MultiModelEval engine_;
-  MlpEvalWorkspace batch_ws_;
   std::vector<std::size_t> batch_preds_;  // plan evals x samples
   std::vector<MultiEvalModel> batch_models_;
   std::atomic<bool> validating_{false};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "util/thread_pool.hpp"
 
@@ -54,10 +53,7 @@ ClientActor& TransportRoundDriver::actor_for(std::size_t id) {
 
 void TransportRoundDriver::join_tasks(std::vector<std::future<void>>& tasks) {
   for (auto& task : tasks) {
-    while (task.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!ThreadPool::global().try_run_one()) std::this_thread::yield();
-    }
+    ThreadPool::global().help_until_ready(task);
     task.get();
   }
   tasks.clear();

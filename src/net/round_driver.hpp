@@ -84,9 +84,9 @@ class TransportRoundDriver {
 
  private:
   ClientActor& actor_for(std::size_t id);
-  /// Joins actor tasks by helping drain the pool (never parks a worker
-  /// slot — experiments themselves run as pool tasks under
-  /// run_repeated), rethrowing the first actor exception.
+  /// Joins actor tasks through ThreadPool::help_until_ready (never
+  /// parks a worker slot — experiments themselves run as pool tasks
+  /// under run_repeated), rethrowing the first actor exception.
   static void join_tasks(std::vector<std::future<void>>& tasks);
 
   Transport& transport_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
@@ -55,20 +54,6 @@ class ScratchLease {
 using PanelLease = ScratchLease<MultiModelEval::PanelScratch>;
 using CallLease = ScratchLease<MultiModelEval::CallScratch>;
 
-/// fn(i) for i in [0, n) — on the pool when `parallel` (the caller
-/// participates and help-drains, so nesting inside pipelined rounds,
-/// task-graph nodes or sweep cells cannot deadlock a saturated pool),
-/// inline otherwise. Both orders compute the same bytes: every i writes
-/// a disjoint output slice with schedule-independent arithmetic.
-void run_for(bool parallel, std::size_t n,
-             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (!parallel || n < 2 || ThreadPool::global().size() < 2) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool::global().parallel_for(n, fn);
-}
 }  // namespace
 
 MultiModelEval::MultiModelEval(MlpConfig config) : config_(std::move(config)) {
@@ -170,15 +155,8 @@ void MultiModelEval::run_tile(std::span<const MultiEvalModel> models,
   }
 }
 
-void MultiModelEval::predict_into(std::span<const float> params,
-                                  std::span<std::size_t> out,
-                                  MlpEvalWorkspace& ws) {
-  const MultiEvalModel model{params, out, {}};
-  predict_many({&model, 1}, ws);
-}
-
-void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
-                                  MlpEvalWorkspace& ws) {
+void MultiModelEval::sweep(std::span<const MultiEvalModel> models,
+                           bool on_pool) {
   BAFFLE_CHECK(!xpack_.empty() || samples_ == 0,
                "MultiModelEval: bind() before predict");
   for (const MultiEvalModel& m : models) {
@@ -190,7 +168,6 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
   if (samples_ == 0 || models.empty()) return;
   const ScopedTimer run_timer("multi_eval.run");
 
-  const bool par = ws.parallel && ThreadPool::global().size() > 1;
   const std::size_t nmodels = models.size();
 
   CallLease call;
@@ -203,17 +180,22 @@ void MultiModelEval::predict_many(std::span<const MultiEvalModel> models,
   // The tile sweep. Every (model-chunk × panel-block) tile
   // writes the disjoint prediction/margin slice of its (model, sample)
   // rectangle with the serial loop's per-element arithmetic, so any
-  // schedule — including the inline fallback — produces the same bytes.
+  // schedule — pool-parallel or inline — produces the same bytes.
   const std::size_t nchunks = (nmodels + kModelChunk - 1) / kModelChunk;
   const std::size_t nblocks = (panels_ + kPanelBlock - 1) / kPanelBlock;
   const std::size_t ntiles = nchunks * nblocks;
-  run_for(par, ntiles, [&](std::size_t tile) {
+  const auto tile_fn = [&](std::size_t tile) {
     const std::size_t m0 = (tile / nblocks) * kModelChunk;
     const std::size_t jb = (tile % nblocks) * kPanelBlock;
     PanelLease lease;
     run_tile(models, m0, std::min(nmodels, m0 + kModelChunk), jb,
              std::min(panels_, jb + kPanelBlock), cs, *lease);
-  });
+  };
+  if (on_pool) {
+    ThreadPool::global().parallel_for(ntiles, tile_fn);
+  } else {
+    for (std::size_t tile = 0; tile < ntiles; ++tile) tile_fn(tile);
+  }
   MetricsRegistry::global().add_counter("multi_eval.tiles", ntiles);
 }
 

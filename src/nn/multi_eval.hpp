@@ -20,10 +20,9 @@
 // flat parameters and writes a DISJOINT slice of predictions/margins
 // with the exact per-element arithmetic of the serial loop — no
 // reductions are reordered — so the output is byte-identical for any
-// thread count, including the serial fallback (MlpEvalWorkspace::
-// parallel = false). All mutable per-call state lives in per-(thread,
-// nesting-depth) leased scratch; the engine itself is immutable after
-// bind().
+// pool size, including predict_into's inline loop. All mutable
+// per-call state lives in per-(thread, nesting-depth) leased scratch;
+// the engine itself is immutable after bind().
 //
 // Predictions are BIT-IDENTICAL to Mlp::predict_into on the same kernel
 // arm. The fused kernels keep the sequential path's accumulation order
@@ -79,19 +78,24 @@ class MultiModelEval {
   bool bound() const { return samples_ > 0; }
   std::size_t bound_samples() const { return samples_; }
 
-  /// Evaluates one model against the bound features. `out.size()` must
-  /// equal bound_samples(). ws.parallel selects pool-tiled vs serial
-  /// execution (byte-identical results).
+  /// Evaluates one model against the bound features on the calling
+  /// thread: it never waits on the pool, so it is safe under a held
+  /// lock. `out.size()` must equal bound_samples().
   void predict_into(std::span<const float> params,
-                    std::span<std::size_t> out, MlpEvalWorkspace& ws);
+                    std::span<std::size_t> out) {
+    const MultiEvalModel model{params, out, {}};
+    sweep({&model, 1}, /*on_pool=*/false);
+  }
 
   /// Evaluates a batch of models over (model-chunk × panel-block)
   /// tiles: each tile streams a block of packed X panels through a
   /// chunk of models, so the shared operand's memory traffic is paid
   /// once per block instead of once per model, and the tiles fan out
-  /// across the global pool when ws.parallel is set.
-  void predict_many(std::span<const MultiEvalModel> models,
-                    MlpEvalWorkspace& ws);
+  /// across ThreadPool::global(). Results are byte-identical to
+  /// predict_into's at any pool size.
+  void predict_many(std::span<const MultiEvalModel> models) {
+    sweep(models, /*on_pool=*/true);
+  }
 
   /// Models per tile: the model-side unit of the tile decomposition.
   static constexpr std::size_t kModelChunk = 16;
@@ -128,6 +132,9 @@ class MultiModelEval {
   /// leased scratch buffer it returns.
   const float* eval_panel_fp32(std::span<const LayerView> layers,
                                const float* xpanel, PanelScratch& ps) const;
+
+  /// Runs every tile: across the global pool, or inline.
+  void sweep(std::span<const MultiEvalModel> models, bool on_pool);
 
   /// One (model-chunk × panel-block) tile: models [m0, mend) over
   /// packed panels [jb, jend), writing the disjoint prediction/margin

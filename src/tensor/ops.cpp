@@ -198,10 +198,8 @@ void pack_bt_panels(const Matrix& b, PackedB& out) {
   // the serial loop for any thread count. Training-sized packs (a batch
   // inside gemm_abt) stay inline: the gather is cheaper than a task.
   constexpr std::size_t kParallelPackElems = std::size_t{1} << 18;
-  ThreadPool& pool = ThreadPool::global();
-  if (panels >= 2 && panels * k * pc >= kParallelPackElems &&
-      pool.size() > 1) {
-    pool.parallel_for(panels, pack_panel);
+  if (panels * k * pc >= kParallelPackElems) {
+    ThreadPool::global().parallel_for(panels, pack_panel);
   } else {
     for (std::size_t jp = 0; jp < panels; ++jp) pack_panel(jp);
   }

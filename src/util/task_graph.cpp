@@ -169,18 +169,10 @@ void TaskGraph::submit_ready(const std::vector<TaskId>& ready) {
 }
 
 void TaskGraph::wait_all() {
-  for (;;) {
-    // Stamp before the check: a node completion racing with us either
-    // drops unfinished_ to zero before we read it or advances the stamp
-    // and wakes the wait below — never a lost wakeup.
-    const std::uint64_t seen = pool_.progress_stamp();
-    {
-      MutexLock lock(mutex_);
-      if (unfinished_ == 0) break;
-    }
-    if (pool_.try_run_one()) continue;
-    pool_.wait_progress(seen);
-  }
+  pool_.help_until([this] {
+    MutexLock lock(mutex_);
+    return unfinished_ == 0;
+  });
   std::exception_ptr err;
   {
     MutexLock lock(mutex_);

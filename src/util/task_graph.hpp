@@ -11,11 +11,10 @@
 // stay strictly serialized — which is what keeps Rng call order, and
 // therefore every result, bit-identical to a serial loop.
 //
-// Waiting help-drains the pool (ThreadPool::try_run_one + the progress
-// condition variable), so nodes may themselves build and wait on nested
-// graphs sharing the same pool without deadlocking a saturated pool:
-// a blocked waiter always either runs queued work or sleeps until some
-// task completes elsewhere.
+// Waiting help-drains the pool (ThreadPool::help_until), so nodes may
+// themselves build and wait on nested graphs sharing the same pool
+// without deadlocking a saturated pool: a blocked waiter always either
+// runs queued work or sleeps until some task completes elsewhere.
 //
 // Error model: a throwing node records the first exception; its
 // transitive dependents are skipped (never run). wait_all() rethrows

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <string>
+#include <system_error>
 
+#include "util/logging.hpp"
 #include "util/metrics.hpp"
 
 namespace baffle {
@@ -72,54 +74,65 @@ void ThreadPool::parallel_for(std::size_t n,
   futures.reserve(fanout);
   for (std::size_t i = 0; i + 1 < fanout; ++i) futures.push_back(submit(body));
   body();  // caller participates, so parallel_for works from pool threads too
-  for (auto& f : futures) {
-    // Help drain the queue instead of blocking: nested parallel_for
-    // calls from pool threads would otherwise deadlock a saturated pool.
-    // When the queue is empty but the future is still unfinished (the
-    // tail task runs on another worker), sleep on the pool's progress
-    // condition variable: the tail task's completion wakes the caller
-    // exactly once, with no timed-backoff polling slices. The stamp is
-    // read before the readiness check, so a completion racing with the
-    // check either flips the future to ready or advances the stamp —
-    // never a lost wakeup.
-    for (;;) {
-      const std::uint64_t seen = progress_stamp();
-      if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        break;
-      }
-      if (try_run_one()) continue;
-      wait_progress(seen);
-    }
-  }
+  for (const auto& f : futures) help_until_ready(f);
   if (error) std::rethrow_exception(error);
 }
 
-std::uint64_t ThreadPool::progress_stamp() const {
-  MutexLock lock(mutex_);
-  return progress_;
+void ThreadPool::help_until(const std::function<bool()>& done) {
+  for (;;) {
+    std::uint64_t seen = 0;
+    {
+      MutexLock lock(mutex_);
+      seen = progress_;
+    }
+    if (done()) return;
+    if (try_run_one()) continue;
+    MutexLock lock(mutex_);
+    while (!stop_ && progress_ == seen) progress_cv_.wait(mutex_);
+  }
 }
 
-void ThreadPool::wait_progress(std::uint64_t seen) const {
-  MutexLock lock(mutex_);
-  while (!stop_ && progress_ == seen) progress_cv_.wait(mutex_);
+void ThreadPool::help_until_ready(const std::future<void>& task) {
+  help_until([&] {
+    return task.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  });
+}
+
+namespace {
+// The pool a live GlobalPoolPin substitutes for the process pool.
+std::atomic<ThreadPool*> pinned_pool{nullptr};
+}  // namespace
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n == 0 || n > kMaxPoolThreads) {
+    return std::nullopt;
+  }
+  return n;
 }
 
 ThreadPool& ThreadPool::global() {
-  // BAFFLE_THREADS overrides hardware_concurrency for the shared pool —
-  // lets single-core CI hosts still exercise the concurrent code paths
-  // (e.g. under TSan) and lets benchmarks pin the worker count.
+  if (ThreadPool* pinned = pinned_pool.load()) return *pinned;
   static ThreadPool pool([] {
-    std::size_t n = 0;
-    if (const char* env = std::getenv("BAFFLE_THREADS")) {
-      try {
-        n = static_cast<std::size_t>(std::stoul(env));
-      } catch (...) {
-        n = 0;
-      }
-    }
-    return n;
+    const char* env = std::getenv("BAFFLE_THREADS");
+    if (env == nullptr) return std::size_t{0};
+    if (const auto n = parse_thread_count(env)) return *n;
+    log_warn() << "BAFFLE_THREADS=\"" << env << "\" is not a whole number "
+               << "in [1, " << kMaxPoolThreads
+               << "]; using hardware concurrency";
+    return std::size_t{0};
   }());
   return pool;
+}
+
+GlobalPoolPin::GlobalPoolPin(ThreadPool& pool)
+    : previous_(pinned_pool.exchange(&pool)) {}
+
+GlobalPoolPin::~GlobalPoolPin() {
+  pinned_pool.store(previous_);
 }
 
 bool ThreadPool::try_run_one() {

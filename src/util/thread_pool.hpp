@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <optional>
 #include <queue>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,18 +45,19 @@ class ThreadPool {
   /// Pops and runs one queued task if any; returns whether it did.
   bool try_run_one();
 
-  /// Monotonic stamp bumped whenever the pool makes progress: a task is
-  /// queued or a task finishes. Pair with wait_progress to sleep between
-  /// help-drain attempts instead of polling.
-  std::uint64_t progress_stamp() const;
+  /// Blocks until done() holds, help-draining meanwhile: the caller
+  /// runs queued tasks, so a pool thread waiting on work nested in its
+  /// own task cannot deadlock a saturated pool. With the queue empty it
+  /// sleeps until a task is queued or finishes — no polling.
+  void help_until(const std::function<bool()>& done);
 
-  /// Blocks until progress_stamp() != seen (a task completed somewhere
-  /// or new work arrived) or the pool is shutting down. Waiters that
-  /// help-drain call this only when the queue is empty, so a completion
-  /// on another worker wakes them exactly once — no timed backoff.
-  void wait_progress(std::uint64_t seen) const;
+  /// help_until `task` (a future of a task queued on this pool) is ready.
+  void help_until_ready(const std::future<void>& task);
 
-  /// Process-wide shared pool (lazily constructed).
+  /// The process-wide shared pool, sized by BAFFLE_THREADS
+  /// (parse_thread_count; lets single-core CI hosts exercise concurrent
+  /// paths under TSan and benchmarks fix the worker count) or else
+  /// hardware concurrency — or, while a GlobalPoolPin lives, its pool.
   static ThreadPool& global();
 
  private:
@@ -62,15 +65,43 @@ class ThreadPool {
   void bump_progress();
 
   std::vector<std::thread> workers_;
-  mutable Mutex mutex_;
+  Mutex mutex_;
   std::queue<std::packaged_task<void()>> queue_ BAFFLE_GUARDED_BY(mutex_);
-  CondVar cv_;                    // workers: queued work or shutdown
-  mutable CondVar progress_cv_;   // waiters: any task queued/completed
-  // Progress-stamp protocol: bumped under mutex_ on every submit and
-  // every completion; wait_progress sleepers re-check it against the
-  // stamp they read before their readiness check (no lost wakeups).
+  CondVar cv_;            // workers: queued work or shutdown
+  CondVar progress_cv_;   // help_until sleepers: a task queued/completed
+  // Progress stamp: bumped under mutex_ on every submit and every
+  // completion. help_until reads it before checking done() and sleeps
+  // only while it is unchanged, so a completion racing with the check
+  // either makes done() true or wakes the sleeper — no lost wakeups.
   std::uint64_t progress_ BAFFLE_GUARDED_BY(mutex_) = 0;
   bool stop_ BAFFLE_GUARDED_BY(mutex_) = false;
+};
+
+/// Largest BAFFLE_THREADS value the global pool accepts.
+inline constexpr std::size_t kMaxPoolThreads = 256;
+
+/// Parses a BAFFLE_THREADS value: a whole decimal number in
+/// [1, kMaxPoolThreads], digits only. Anything else yields nullopt, and
+/// ThreadPool::global() then logs a warning and uses hardware
+/// concurrency.
+std::optional<std::size_t> parse_thread_count(std::string_view text);
+
+/// Test and benchmark hook (the simd::force_isa pattern): while alive,
+/// ThreadPool::global() returns the caller-owned `pool`; destruction
+/// restores the previous one, so pins nest. Pin and unpin only while no
+/// work runs on either pool. A 1-worker pool runs every parallel_for
+/// iteration inline in index order, so a 1-worker pin is the serial
+/// reference of the thread-count parity tests: the production code at
+/// one thread. Library code must not name it (baffle_lint: pool-pin).
+class GlobalPoolPin {
+ public:
+  explicit GlobalPoolPin(ThreadPool& pool);
+  ~GlobalPoolPin();
+  GlobalPoolPin(const GlobalPoolPin&) = delete;
+  GlobalPoolPin& operator=(const GlobalPoolPin&) = delete;
+
+ private:
+  ThreadPool* previous_;
 };
 
 }  // namespace baffle

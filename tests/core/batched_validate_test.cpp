@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "data/synth.hpp"
 #include "metrics/confusion.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
@@ -43,11 +45,10 @@ class BatchedValidate : public ::testing::Test {
     return out;
   }
 
-  Validator make_validator(std::size_t lookback, bool parallel_eval = true) {
+  Validator make_validator(std::size_t lookback) {
     ValidatorConfig cfg;
     cfg.lookback = lookback;
     cfg.min_variations = 2;
-    cfg.parallel_eval = parallel_eval;
     return Validator(data_, arch_, cfg);
   }
 
@@ -183,16 +184,21 @@ TEST_F(BatchedValidate, RepeatCandidateShortCircuitsMaterialization) {
 }
 
 TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
-  // ValidatorConfig::parallel_eval only changes which threads execute
-  // the engine's tiles (DESIGN.md §17): votes, φ, τ, abstentions and
-  // every cached confusion matrix must be bit-identical with the flag
-  // on and off. The ctest entries validator_parallel_parity_t{1,4}
-  // re-run this test under pinned pool sizes, extending the identity
-  // across thread counts; the forced-scalar CI leg covers the other
-  // dispatch arm.
+  // Thread placement must never reach a vote (DESIGN.md §17): the same
+  // rounds validated on pinned pools of 1 (the serial reference), 2, 3
+  // and 4 workers must give bit-identical votes, φ, τ, abstentions and
+  // cached confusion matrices. The forced-scalar CI leg covers the
+  // other dispatch arm.
   const std::size_t ell = 10;
-  Validator par = make_validator(ell, /*parallel_eval=*/true);
-  Validator ser = make_validator(ell, /*parallel_eval=*/false);
+  const std::size_t pool_sizes[] = {1, 2, 3, 4};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  std::vector<Validator> validators;
+  for (const std::size_t workers : pool_sizes) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+    const GlobalPoolPin pin(*pools.back());
+    validators.push_back(make_validator(ell));
+  }
+  const Validator& ser = validators.front();
 
   std::deque<GlobalModel> window;
   std::uint64_t version = 0;
@@ -202,24 +208,34 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   for (std::size_t round = 0; round < ell + 5; ++round) {
     const std::vector<GlobalModel> history(window.begin(), window.end());
     const ParamVec candidate = next_params(rng);
-    const auto ref = ser.validate(candidate, history);
-    const auto got = par.validate(candidate, history);
-    expect_same(ref, got);
+    ValidationOutcome ref;
+    for (std::size_t i = 0; i < validators.size(); ++i) {
+      SCOPED_TRACE(pool_sizes[i]);
+      const GlobalPoolPin pin(*pools[i]);
+      const auto got = validators[i].validate(candidate, history);
+      if (i == 0) {
+        ref = got;
+      } else {
+        expect_same(ref, got);
+      }
+    }
     if (!ref.abstained) ++non_abstained;
     ++version;
     window.push_back({version, candidate});
     while (window.size() > ell + 1) window.pop_front();
-    ser.notify_commit(version, candidate);
-    par.notify_commit(version, candidate);
+    for (Validator& v : validators) v.notify_commit(version, candidate);
     params_ = candidate;
   }
   ASSERT_GT(non_abstained, 4u);
-  for (const auto& entry : window) {
-    const ConfusionMatrix* a = ser.cache().find(entry.version);
-    const ConfusionMatrix* b = par.cache().find(entry.version);
-    EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry.version;
-    if (a != nullptr && b != nullptr) expect_same_cm(*a, *b);
-    if (::testing::Test::HasFatalFailure()) return;
+  for (std::size_t i = 1; i < validators.size(); ++i) {
+    SCOPED_TRACE(pool_sizes[i]);
+    for (const auto& entry : window) {
+      const ConfusionMatrix* a = ser.cache().find(entry.version);
+      const ConfusionMatrix* b = validators[i].cache().find(entry.version);
+      EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry.version;
+      if (a != nullptr && b != nullptr) expect_same_cm(*a, *b);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

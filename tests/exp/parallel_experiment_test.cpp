@@ -1,87 +1,53 @@
-// Experiment-level determinism under round parallelism.
+// Experiment-level determinism across thread placements.
 //
 // The adaptive provider lives inside experiment.cpp, so its concurrency
 // safety (atomic submitted_/alpha_, single attacker task per round) is
-// exercised through run_experiment: a run with parallel rounds must be
-// bit-identical to the serial baseline. run_repeated additionally nests
-// whole runs inside the pool, so its results double as a smoke test for
-// nested fork-join scheduling.
+// exercised through run_experiment. Every run is repeated on pinned
+// pools of 1 (the serial reference: parallel_for runs inline), 2, 3 and
+// 4 workers, and every record must be bit-identical — client training,
+// secure-agg masking, validator fan-out, GEMM row splits and the
+// evaluation engine all move between threads, and none may move a bit.
+// run_repeated additionally nests whole runs inside the pool, so its
+// results double as a smoke test for nested fork-join scheduling.
 
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hpp"
+#include "experiment_parity.hpp"
+#include "util/thread_pool.hpp"
 
 namespace baffle {
 namespace {
 
-ExperimentConfig small_config() {
-  ExperimentConfig cfg;
-  cfg.scenario = vision_scenario(0.10);
-  cfg.scenario.num_clients = 40;
-  cfg.scenario.train_per_class_override = 80;
-  cfg.feedback.quorum = 4;
-  cfg.feedback.validator.lookback = 8;
-  cfg.schedule = AttackSchedule::stable_scenario();
-  cfg.schedule.poison_rounds = {14, 18};
-  cfg.rounds = 22;
-  cfg.defense_start = 10;
-  cfg.track_accuracy = true;
-  return cfg;
+/// fn() on a pinned pool of `workers` workers.
+template <typename Fn>
+auto on_pool(std::size_t workers, Fn fn) {
+  ThreadPool pool(workers);
+  const GlobalPoolPin pin(pool);
+  return fn();
 }
 
-/// Everything in a RoundRecord except the wall-clock timings, which are
-/// the only fields allowed to differ between serial and parallel runs.
-void expect_rounds_identical(const std::vector<RoundRecord>& a,
-                             const std::vector<RoundRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a[i].round, b[i].round);
-    EXPECT_EQ(a[i].defense_active, b[i].defense_active);
-    EXPECT_EQ(a[i].poisoned, b[i].poisoned);
-    EXPECT_EQ(a[i].rejected, b[i].rejected);
-    EXPECT_EQ(a[i].main_accuracy, b[i].main_accuracy);
-    EXPECT_EQ(a[i].backdoor_accuracy, b[i].backdoor_accuracy);
-    EXPECT_EQ(a[i].reject_votes, b[i].reject_votes);
-    EXPECT_EQ(a[i].num_validators, b[i].num_validators);
-  }
-}
-
-void expect_results_identical(const ExperimentResult& a,
-                              const ExperimentResult& b) {
-  expect_rounds_identical(a.rounds, b.rounds);
-  ASSERT_EQ(a.injections.size(), b.injections.size());
-  for (std::size_t i = 0; i < a.injections.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a.injections[i].round, b.injections[i].round);
-    EXPECT_EQ(a.injections[i].adaptive, b.injections[i].adaptive);
-    EXPECT_EQ(a.injections[i].alpha, b.injections[i].alpha);
-    EXPECT_EQ(a.injections[i].rejected, b.injections[i].rejected);
-  }
-  EXPECT_EQ(a.rates.false_positives, b.rates.false_positives);
-  EXPECT_EQ(a.rates.false_negatives, b.rates.false_negatives);
-  EXPECT_EQ(a.final_main_accuracy, b.final_main_accuracy);
-  EXPECT_EQ(a.final_backdoor_accuracy, b.final_backdoor_accuracy);
-  EXPECT_EQ(a.adaptive_skipped, b.adaptive_skipped);
-}
+constexpr std::size_t kParallelPoolSizes[] = {2, 3, 4};
 
 TEST(ParallelExperiment, ReplacementRunMatchesSerialBitExact) {
-  ExperimentConfig cfg = small_config();
-  cfg.scenario.parallel_rounds = true;
-  const auto parallel = run_experiment(cfg, 21);
-  cfg.scenario.parallel_rounds = false;
-  const auto serial = run_experiment(cfg, 21);
-  expect_results_identical(parallel, serial);
+  const ExperimentConfig cfg = small_config();
+  const auto serial = on_pool(1, [&] { return run_experiment(cfg, 21); });
+  for (const std::size_t workers : kParallelPoolSizes) {
+    SCOPED_TRACE(workers);
+    expect_results_identical(
+        on_pool(workers, [&] { return run_experiment(cfg, 21); }), serial);
+  }
 }
 
 TEST(ParallelExperiment, AdaptiveRunMatchesSerialBitExact) {
   ExperimentConfig cfg = small_config();
   cfg.schedule.adaptive = true;
-  cfg.scenario.parallel_rounds = true;
-  const auto parallel = run_experiment(cfg, 23);
-  cfg.scenario.parallel_rounds = false;
-  const auto serial = run_experiment(cfg, 23);
-  expect_results_identical(parallel, serial);
+  const auto serial = on_pool(1, [&] { return run_experiment(cfg, 23); });
+  for (const std::size_t workers : kParallelPoolSizes) {
+    SCOPED_TRACE(workers);
+    expect_results_identical(
+        on_pool(workers, [&] { return run_experiment(cfg, 23); }), serial);
+  }
 }
 
 TEST(ParallelExperiment, ParallelEngineNestsInPipelinedRepeatedRuns) {
@@ -89,23 +55,24 @@ TEST(ParallelExperiment, ParallelEngineNestsInPipelinedRepeatedRuns) {
   // engine (DESIGN.md §17) runs inside a validator task of a pipelined
   // task-graph round, itself a repetition task of run_repeated — three
   // levels of fork-join on one pool, safe because validate() never
-  // holds its lock across a pool wait and waiters help-drain. The
-  // engine's thread placement must not leak into results: runs with
-  // parallel_eval on and off are bit-identical.
+  // holds its lock across a pool wait and waiters help-drain. Thread
+  // placement must not leak into results: every pool size reproduces
+  // the 1-worker runs bit for bit.
   ExperimentConfig cfg = small_config();
   cfg.rounds = 14;
   cfg.track_accuracy = false;
-  cfg.scenario.parallel_rounds = true;
   cfg.scenario.pipeline_rounds = true;
-  cfg.feedback.validator.parallel_eval = true;
-  const auto nested = run_repeated(cfg, 2, 131);
-  cfg.feedback.validator.parallel_eval = false;
-  const auto serial_engine = run_repeated(cfg, 2, 131);
-  ASSERT_EQ(nested.runs.size(), 2u);
-  ASSERT_EQ(serial_engine.runs.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    SCOPED_TRACE(i);
-    expect_results_identical(nested.runs[i], serial_engine.runs[i]);
+  const auto serial = on_pool(1, [&] { return run_repeated(cfg, 2, 131); });
+  ASSERT_EQ(serial.runs.size(), 2u);
+  for (const std::size_t workers : kParallelPoolSizes) {
+    SCOPED_TRACE(workers);
+    const auto nested =
+        on_pool(workers, [&] { return run_repeated(cfg, 2, 131); });
+    ASSERT_EQ(nested.runs.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      SCOPED_TRACE(i);
+      expect_results_identical(nested.runs[i], serial.runs[i]);
+    }
   }
 }
 

@@ -24,6 +24,8 @@ EXPECTED = [
     ("no-libc-random", "bad_rand.cpp"),
     ("raw-sync", "bad_mutex.cpp"),
     ("env-knob", "bad_env.cpp"),
+    ("pool-pin", "bad_pin.cpp:6"),
+    ("pool-pin", "bad_pin_tool.cpp:7"),
     ("header-hygiene", "bad_header.hpp"),
     ("dispatch-table", "kernels_simd.cpp"),   # zorp: no SIMD impl
     ("dispatch-table", "simd_parity_test.cpp"),  # zorp: no parity test
@@ -35,6 +37,9 @@ CLEAN = [
     ("dispatch-table", "frob_rows"),
     # bad_env.cpp:8 reads BAFFLE_THREADS, which is on the allow-list.
     ("env-knob", "bad_env.cpp:8"),
+    # The pin's definition site is exempt, and so is a comment naming it.
+    ("pool-pin", os.path.join("src", "util", "thread_pool.hpp")),
+    ("pool-pin", "bad_pin.cpp:2"),
     # The sanctioned wrapper layer is exempt (matched on the full
     # fixture path: the rule's advice text also mentions sync.hpp).
     ("raw-sync", os.path.join("src", "util", "sync.hpp")),

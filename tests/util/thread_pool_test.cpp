@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace baffle {
 namespace {
@@ -115,6 +118,76 @@ TEST(ThreadPool, TryRunOneEmptyQueue) {
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   EXPECT_GE(ThreadPool::global().size(), 1u);
+}
+
+TEST(ThreadPool, HelpUntilRunsQueuedWorkOnTheCaller) {
+  // Whichever of the two tasks the single worker takes first, the
+  // other can only run on the waiting caller: help_until must drain it
+  // rather than sleep (the blocker spins until the opener has run).
+  ThreadPool pool(1);
+  std::atomic<bool> gate{false};
+  std::atomic<bool> ran{false};
+  auto blocker = pool.submit([&] {
+    while (!gate.load()) std::this_thread::yield();
+  });
+  auto opener = pool.submit([&] {
+    ran.store(true);
+    gate.store(true);
+  });
+  pool.help_until_ready(opener);
+  EXPECT_TRUE(ran.load());
+  pool.help_until_ready(blocker);
+  blocker.get();
+  pool.help_until([] { return true; });  // already done: returns at once
+}
+
+TEST(GlobalPoolPin, SwapsTheGlobalPoolAndNests) {
+  ThreadPool& process_pool = ThreadPool::global();
+  ThreadPool one(1);
+  ThreadPool three(3);
+  {
+    GlobalPoolPin outer(one);
+    EXPECT_EQ(&ThreadPool::global(), &one);
+    {
+      GlobalPoolPin inner(three);
+      EXPECT_EQ(&ThreadPool::global(), &three);
+      EXPECT_EQ(ThreadPool::global().size(), 3u);
+    }
+    EXPECT_EQ(&ThreadPool::global(), &one);
+  }
+  EXPECT_EQ(&ThreadPool::global(), &process_pool);
+}
+
+TEST(GlobalPoolPin, OneWorkerRunsParallelForInlineInIndexOrder) {
+  // The serial reference: on a pinned 1-worker pool every iteration runs
+  // on the calling thread, in index order.
+  ThreadPool one(1);
+  const GlobalPoolPin pin(one);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  ThreadPool::global().parallel_for(40, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(40);
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ParseThreadCount, AcceptsWholePositiveDecimalsUpToTheCap) {
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("0004"), 4u);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxPoolThreads)),
+            kMaxPoolThreads);
+}
+
+TEST(ParseThreadCount, RejectsEverythingElse) {
+  for (const char* bad :
+       {"", "0", "000", "-1", "+4", " 4", "4 ", "4abc", "abc", "1e2", "2.5",
+        "0x10", "257", "18446744073709551615", "99999999999999999999999"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 }  // namespace

@@ -31,6 +31,13 @@ Rules (each failure names the file and the rule id):
                       fast mode). A new env read is a hidden knob that
                       can change behaviour without a flag or a config
                       field.
+  pool-pin            GlobalPoolPin (the test/bench hook that swaps
+                      ThreadPool::global() for a caller-owned pool) may
+                      appear in code only in src/util/thread_pool.*,
+                      tests/ and bench/ — never elsewhere in src/ or in
+                      tools/. Production code that pinned the pool
+                      would turn a parity reference into a hidden
+                      thread-placement knob. Comments may name it.
   header-hygiene      Every header under src/ must be self-contained:
                       `#include "x.hpp"` alone must compile (checked
                       with $CXX -fsyntax-only). Skipped with
@@ -78,6 +85,10 @@ ALLOWED_ENV = {
     "BAFFLE_BENCH_REPS",
     "BAFFLE_BENCH_FAST",
 }
+# The pool pin's only home in the library: where it is defined.
+POOL_PIN = re.compile(r'\bGlobalPoolPin\b')
+POOL_PIN_SINKS = {os.path.join("util", "thread_pool.hpp"),
+                  os.path.join("util", "thread_pool.cpp")}
 ALLOW = re.compile(r'//\s*baffle-lint:\s*allow\(([a-z-]+)\)')
 
 TABLE_MEMBER = re.compile(r'\(\s*\*\s*(\w+)\s*\)\s*\(')
@@ -163,6 +174,19 @@ class Linter:
                                   "(use the annotated wrappers in "
                                   "util/sync.hpp so thread-safety "
                                   "analysis sees the critical section)")
+
+    def lint_pool_pin(self, path: str, exempt: bool) -> None:
+        if exempt:
+            return
+        with open(path, encoding="utf-8") as f:
+            for line_no, raw in enumerate(f, start=1):
+                if "pool-pin" in ALLOW.findall(raw):
+                    continue
+                if POOL_PIN.search(strip_comments_and_strings(raw)):
+                    self.fail("pool-pin", path, line_no,
+                              "GlobalPoolPin outside util/thread_pool, "
+                              "tests/ and bench/ (it is a parity-test "
+                              "hook, not a thread-placement option)")
 
     # -- dispatch-table completeness -----------------------------------
 
@@ -272,7 +296,14 @@ class Linter:
         for dirpath, _, files in os.walk(src):
             for f in sorted(files):
                 if f.endswith(".cpp") or f.endswith(".hpp"):
-                    self.lint_source_file(os.path.join(dirpath, f))
+                    path = os.path.join(dirpath, f)
+                    self.lint_source_file(path)
+                    self.lint_pool_pin(
+                        path, os.path.relpath(path, src) in POOL_PIN_SINKS)
+        for dirpath, _, files in os.walk(os.path.join(self.root, "tools")):
+            for f in sorted(files):
+                if f.endswith(".cpp") or f.endswith(".hpp"):
+                    self.lint_pool_pin(os.path.join(dirpath, f), False)
         self.lint_dispatch_table()
         if check_headers:
             self.lint_headers(jobs)

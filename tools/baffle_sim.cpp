@@ -12,9 +12,7 @@
 // Run with --help for the full flag list.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "exp/experiment.hpp"
 #include "flags.hpp"
@@ -60,23 +58,6 @@ void print_help() {
       "  --metrics=PATH             dump runtime metrics CSV on exit\n");
 }
 
-std::vector<std::size_t> parse_rounds(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string token =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) {
-      out.push_back(static_cast<std::size_t>(
-          std::strtoul(token.c_str(), nullptr, 10)));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,8 +86,7 @@ int main(int argc, char** argv) {
   cfg.scenario = *task == "femnist" ? femnist_scenario(sfrac)
                                    : vision_scenario(sfrac);
   if (flags.has("clients")) {
-    cfg.scenario.num_clients =
-        static_cast<std::size_t>(flags.integer("clients", 50));
+    cfg.scenario.num_clients = flags.count("clients", 50);
   }
   cfg.scenario.dirichlet_alpha = flags.num("alpha", 0.9);
   cfg.scenario.iid = flags.flag("iid", false);
@@ -115,37 +95,38 @@ int main(int argc, char** argv) {
   cfg.feedback.mode = *mode == "C"   ? DefenseMode::kClientsOnly
                       : *mode == "S" ? DefenseMode::kServerOnly
                                      : DefenseMode::kClientsAndServer;
-  cfg.feedback.quorum = static_cast<std::size_t>(flags.integer("q", 5));
-  cfg.feedback.validator.lookback =
-      static_cast<std::size_t>(flags.integer("lookback", 20));
-  cfg.defense_start =
-      static_cast<std::size_t>(flags.integer("defense-start", 20));
+  cfg.feedback.quorum = flags.count("q", 5);
+  cfg.feedback.validator.lookback = flags.count("lookback", 20);
+  cfg.defense_start = flags.count("defense-start", 20);
   cfg.defense_enabled = !flags.flag("no-defense", false);
   cfg.separate_validators = flags.flag("separate-validators", false);
   cfg.validator_dropout = flags.num("validator-dropout", 0.0);
   cfg.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
-    cfg.schedule.poison_rounds =
-        parse_rounds(flags.str("poison-rounds", ""));
+    cfg.schedule.poison_rounds.clear();
+    for (const auto& token : flags.list("poison-rounds", "")) {
+      cfg.schedule.poison_rounds.push_back(
+          flags.count_value("poison-rounds", token));
+    }
   }
   if (*attack == "none") cfg.schedule.poison_rounds.clear();
   cfg.schedule.adaptive = flags.flag("adaptive", false);
   if (*attack == "dba") {
     cfg.use_dba = true;
     cfg.scenario.backdoor_override = BackdoorKind::kTrigger;
-    cfg.dba_colluders =
-        static_cast<std::size_t>(flags.integer("colluders", 4));
+    cfg.dba_colluders = flags.count("colluders", 4);
   }
   cfg.malicious_vote = *vote == "honest"   ? VoteStrategy::kHonest
                        : *vote == "reject" ? VoteStrategy::kAlwaysReject
                                            : VoteStrategy::kAlwaysAccept;
 
-  cfg.rounds = static_cast<std::size_t>(flags.integer("rounds", 50));
+  cfg.rounds = flags.count("rounds", 50);
   cfg.stable_start = !flags.flag("from-scratch", false);
   cfg.transport = flags.flag("transport", false);
 
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 1));
+  const std::uint64_t seed = flags.count("seed", 1);
   const bool quiet = flags.flag("quiet", false);
+  if (flags.bad) return 2;
 
   std::printf("baffle_sim: task=%s mode=%s q=%zu l=%zu rounds=%zu seed=%llu"
               " attack=%s%s\n\n",

@@ -13,7 +13,6 @@
 // Run with --help for the full flag list.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -54,35 +53,22 @@ void print_help() {
       "  --metrics=PATH             dump runtime metrics CSV on exit\n");
 }
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > pos) out.push_back(csv.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-SweepAxis size_axis(const std::string& name, const std::string& csv,
+SweepAxis size_axis(const Flags& flags, const std::string& name,
+                    const std::string& fallback,
                     void (*set)(ExperimentConfig&, std::size_t)) {
   SweepAxis axis{name, {}};
-  for (const auto& token : split_csv(csv)) {
-    const auto v =
-        static_cast<std::size_t>(std::strtoul(token.c_str(), nullptr, 10));
+  for (const auto& token : flags.list(name, fallback)) {
+    const std::size_t v = flags.count_value(name, token);
     axis.values.push_back({token, [set, v](ExperimentConfig& c) { set(c, v); }});
   }
   return axis;
 }
 
-SweepAxis real_axis(const std::string& name, const std::string& csv,
+SweepAxis real_axis(const Flags& flags, const std::string& name,
                     void (*set)(ExperimentConfig&, double)) {
   SweepAxis axis{name, {}};
-  for (const auto& token : split_csv(csv)) {
-    const double v = std::strtod(token.c_str(), nullptr);
+  for (const auto& token : flags.list(name, "")) {
+    const double v = flags.real_value(name, token);
     axis.values.push_back({token, [set, v](ExperimentConfig& c) { set(c, v); }});
   }
   return axis;
@@ -108,56 +94,54 @@ int main(int argc, char** argv) {
   spec.base.scenario =
       *task == "femnist" ? femnist_scenario(sfrac) : vision_scenario(sfrac);
   if (flags.has("clients")) {
-    spec.base.scenario.num_clients =
-        static_cast<std::size_t>(flags.integer("clients", 50));
+    spec.base.scenario.num_clients = flags.count("clients", 50);
   }
   if (flags.has("train-per-class")) {
     spec.base.scenario.train_per_class_override =
-        static_cast<std::size_t>(flags.integer("train-per-class", 0));
+        flags.count("train-per-class", 0);
   }
-  spec.base.rounds = static_cast<std::size_t>(flags.integer("rounds", 50));
-  spec.base.defense_start =
-      static_cast<std::size_t>(flags.integer("defense-start", 20));
+  spec.base.rounds = flags.count("rounds", 50);
+  spec.base.defense_start = flags.count("defense-start", 20);
   spec.base.schedule = AttackSchedule::stable_scenario();
   if (flags.has("poison-rounds")) {
     spec.base.schedule.poison_rounds.clear();
-    for (const auto& token : split_csv(flags.str("poison-rounds", ""))) {
+    for (const auto& token : flags.list("poison-rounds", "")) {
       spec.base.schedule.poison_rounds.push_back(
-          static_cast<std::size_t>(std::strtoul(token.c_str(), nullptr, 10)));
+          flags.count_value("poison-rounds", token));
     }
   }
-  spec.reps = static_cast<std::size_t>(flags.integer("reps", 5));
-  spec.base_seed = static_cast<std::uint64_t>(flags.integer("seed", 1));
+  spec.reps = flags.count("reps", 5);
+  spec.base_seed = flags.count("seed", 1);
 
   const bool default_grid = !flags.has("lookback") && !flags.has("q") &&
                             !flags.has("alpha") && !flags.has("dropout");
   if (flags.has("lookback") || default_grid) {
     spec.axes.push_back(size_axis(
-        "lookback", flags.str("lookback", "12,20"),
-        [](ExperimentConfig& c, std::size_t v) {
+        flags, "lookback", "12,20", [](ExperimentConfig& c, std::size_t v) {
           c.feedback.validator.lookback = v;
         }));
   }
   if (flags.has("q") || default_grid) {
     spec.axes.push_back(size_axis(
-        "q", flags.str("q", "3,5"),
+        flags, "q", "3,5",
         [](ExperimentConfig& c, std::size_t v) { c.feedback.quorum = v; }));
   }
   if (flags.has("alpha")) {
-    spec.axes.push_back(real_axis(
-        "alpha", flags.str("alpha", ""), [](ExperimentConfig& c, double v) {
+    spec.axes.push_back(
+        real_axis(flags, "alpha", [](ExperimentConfig& c, double v) {
           c.scenario.dirichlet_alpha = v;
         }));
   }
   if (flags.has("dropout")) {
     spec.axes.push_back(real_axis(
-        "dropout", flags.str("dropout", ""),
+        flags, "dropout",
         [](ExperimentConfig& c, double v) { c.validator_dropout = v; }));
   }
 
   const bool serial = flags.flag("serial", false);
   const bool quiet = flags.flag("quiet", false);
   const std::string out_dir = flags.str("out-dir", ".");
+  if (flags.bad) return 2;
 
   std::size_t grid = 1;
   for (const auto& axis : spec.axes) grid *= axis.values.size();

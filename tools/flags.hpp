@@ -3,22 +3,55 @@
 //
 // Every tool declares the keys it understands; a key outside that list
 // (a misspelling such as --lookbak=40) stops the run with exit status 2
-// instead of silently falling back to the default. Enumerated values
-// are checked the same way through Flags::choice.
+// instead of silently falling back to the default. Values are checked
+// the same way: enumerated ones through Flags::choice, numbers and
+// booleans through the typed accessors, which accept only a value that
+// parses whole (--rounds=3x, --clients=1e2, --seed=-1, --iid=no are all
+// errors).
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 namespace baffle::tools {
 
+/// Whole-string parses: nullopt unless all of `text` is the value —
+/// no sign on a count, no blanks, no trailing characters.
+/// A count is a non-negative decimal integer that fits std::size_t.
+inline std::optional<std::size_t> parse_count(std::string_view text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// A real is a finite decimal floating-point number.
+inline std::optional<double> parse_real(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 struct Flags {
   std::map<std::string, std::string> values;
+  /// Set when a typed accessor below meets a malformed value (each is
+  /// named on stderr). The tool reads every flag, then exits with
+  /// status 2 if any was bad.
+  mutable bool bad = false;
 
   bool has(const std::string& key) const { return values.count(key) > 0; }
 
@@ -26,21 +59,48 @@ struct Flags {
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
+  /// The comma-separated items of `key` (empty items dropped).
+  std::vector<std::string> list(const std::string& key,
+                                const std::string& fallback) const {
+    const std::string csv = str(key, fallback);
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= csv.size()) {
+      const std::size_t comma = csv.find(',', pos);
+      const std::size_t end = comma == std::string::npos ? csv.size() : comma;
+      if (end > pos) out.push_back(csv.substr(pos, end - pos));
+      if (comma == std::string::npos) break;
+      pos = comma + 1;
+    }
+    return out;
+  }
   double num(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : std::strtod(it->second.c_str(),
-                                                       nullptr);
+    return has(key) ? real_value(key, str(key, "")) : fallback;
   }
-  long integer(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    return it == values.end()
-               ? fallback
-               : std::strtol(it->second.c_str(), nullptr, 10);
+  std::size_t count(const std::string& key, std::size_t fallback) const {
+    return has(key) ? count_value(key, str(key, "")) : fallback;
   }
+  /// 0|1|false|true.
   bool flag(const std::string& key, bool fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return it->second != "0" && it->second != "false";
+    if (!has(key)) return fallback;
+    const std::string value = str(key, "");
+    if (value == "1" || value == "true") return true;
+    if (value != "0" && value != "false") reject(key, value, "0|1");
+    return false;
+  }
+
+  /// `value`, one item given for --key, as a count (see parse_count) or
+  /// a real; a malformed one is reported and read as 0.
+  std::size_t count_value(const std::string& key,
+                          const std::string& value) const {
+    if (const auto v = parse_count(value)) return *v;
+    reject(key, value, "a non-negative integer");
+    return 0;
+  }
+  double real_value(const std::string& key, const std::string& value) const {
+    if (const auto v = parse_real(value)) return *v;
+    reject(key, value, "a finite number");
+    return 0.0;
   }
 
   /// The value of `key` (or `fallback` when absent) if it is one of
@@ -59,6 +119,14 @@ struct Flags {
     std::fprintf(stderr, "unknown --%s value: %s (expected %s)\n",
                  key.c_str(), value.c_str(), listed.c_str());
     return std::nullopt;
+  }
+
+ private:
+  void reject(const std::string& key, const std::string& value,
+              const char* expected) const {
+    std::fprintf(stderr, "bad --%s value: %s (expected %s)\n", key.c_str(),
+                 value.c_str(), expected);
+    bad = true;
   }
 };
 
