@@ -4,7 +4,6 @@
 
 #include "tensor/ops.hpp"
 #include "util/contracts.hpp"
-#include "util/sync.hpp"
 
 namespace baffle {
 
@@ -26,72 +25,18 @@ void Dense::init_weights(Rng& rng) {
   const double scale = act_ == Activation::kRelu
                            ? std::sqrt(2.0 / fan_in)
                            : std::sqrt(1.0 / fan_in);
-  ++param_version_;
   for (float& w : weights_.flat()) {
     w = static_cast<float>(rng.normal(0.0, scale));
   }
   std::fill(bias_.begin(), bias_.end(), 0.0f);
 }
 
-void Dense::ensure_packed() {
-  if (!gemm_uses_packed()) return;
-  if (packed_.valid_for(in_dim_, out_dim_, param_version_)) return;
-  pack_b_panels(weights_, packed_, param_version_);
-  BAFFLE_DCHECK(packed_cache_valid(),
-                "a freshly built pack must match the current parameters");
-}
-
-void Dense::forward(const Matrix& x, Matrix& out) {
-  BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
-  cached_input_ = x;
-  out = Matrix(x.rows(), out_dim_);
-  ensure_packed();
-  if (packed_cache_valid()) {
-    gemm_ab_packed(x, packed_, out);
-  } else {
-    gemm_ab(x, weights_, out);
-  }
-  add_row_bias(out, bias_);
-  activation_forward(act_, out);
-  cached_output_ = out;
-}
-
-// Sanctioned lock-free escape: concurrent const evaluation reads the
-// member pack only when its version stamp already matches the current
-// parameters, and every mutation of the pack happens in the exclusive
-// training phase — monotone publish, no capability to annotate.
-void Dense::forward_eval(ConstMatrixView x,
-                         Matrix& out) const BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
+void Dense::forward_eval(ConstMatrixView x, Matrix& out) const {
   BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
   out.resize(x.rows(), out_dim_);
-  // const + concurrent-safe: use the member pack only when it already
-  // matches the current parameters; otherwise take the plain gemm path
-  // (which repacks into thread_local scratch on the SIMD arm).
-  if (gemm_uses_packed() && packed_cache_valid()) {
-    gemm_ab_packed(x, packed_, out);
-  } else {
-    gemm_ab(x, weights_, out);
-  }
+  gemm_ab(x, weights_, out);
   add_row_bias(out, bias_);
   activation_forward(act_, out);
-}
-
-void Dense::backward(Matrix& dout, Matrix* dx) {
-  BAFFLE_CHECK(dout.rows() == cached_input_.rows() &&
-                   dout.cols() == out_dim_,
-               "gradient shape must match the cached forward batch");
-  activation_backward(act_, cached_output_, dout);
-  // dW += xᵀ dout; db += colsum(dout); dx = dout Wᵀ
-  Matrix dw(in_dim_, out_dim_);
-  gemm_atb(cached_input_, dout, dw);
-  axpy(1.0f, dw.flat(), weight_grad_.flat());
-  std::vector<float> db(out_dim_, 0.0f);
-  col_sum(dout, db);
-  axpy(1.0f, db, bias_grad_);
-  if (dx != nullptr) {
-    *dx = Matrix(dout.rows(), in_dim_);
-    gemm_abt(dout, weights_, *dx);
-  }
 }
 
 void Dense::backward_at(const Matrix& input, const Matrix& output,
@@ -101,19 +46,14 @@ void Dense::backward_at(const Matrix& input, const Matrix& output,
                "gradient/input shapes must match the layer and batch");
   activation_backward(act_, output, dout);
   // dW = xᵀ dout; db = colsum(dout); dx = dout Wᵀ. The GEMM kernels and
-  // col_sum zero-fill their outputs, so writing straight into the grad
-  // buffers is bit-identical to zero_grad-then-accumulate.
+  // col_sum zero-fill their outputs, so the grad buffers need no
+  // separate zeroing pass.
   gemm_atb(input, dout, weight_grad_);
   col_sum(dout, bias_grad_);
   if (dx != nullptr) {
     dx->resize(dout.rows(), in_dim_);
     gemm_abt(dout, weights_, *dx);
   }
-}
-
-void Dense::zero_grad() {
-  weight_grad_.fill(0.0f);
-  std::fill(bias_grad_.begin(), bias_grad_.end(), 0.0f);
 }
 
 }  // namespace baffle

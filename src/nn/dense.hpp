@@ -1,11 +1,9 @@
 #pragma once
-// Fully-connected layer with cached activations for manual backprop.
-
-#include <cstdint>
+// Fully-connected layer: one inference/training forward and one backward
+// that reads the forward activations from caller-owned buffers.
 
 #include "nn/activation.hpp"
 #include "tensor/matrix.hpp"
-#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace baffle {
@@ -17,55 +15,25 @@ class Dense {
   /// He/Glorot-style initialization (scaled by fan-in).
   void init_weights(Rng& rng);
 
-  /// Computes out = act(x W + b); caches x and the activated output for
-  /// the subsequent backward() call.
-  void forward(const Matrix& x, Matrix& out);
-
-  /// Inference-only forward: same math as forward() but caches nothing,
-  /// takes a view, and reuses out's storage. Safe to call concurrently
-  /// on a const layer.
+  /// Computes out = act(x W + b), reusing out's storage. Caches
+  /// nothing, so it is safe to call concurrently on a const layer.
   void forward_eval(ConstMatrixView x, Matrix& out) const;
 
-  /// Given dL/d(out), accumulates dL/dW and dL/db into the layer's grad
-  /// buffers and writes dL/dx into `dx` (skipped when dx == nullptr,
-  /// i.e., for the first layer). `dout` is modified in place.
-  void backward(Matrix& dout, Matrix* dx);
-
-  /// Workspace backward: same math as backward() but reads the forward
-  /// activations from caller-owned buffers (`input` = this layer's
-  /// input, `output` = its activated output) instead of the internal
-  /// caches, and OVERWRITES the grad buffers rather than accumulating —
-  /// the allocation-free training loop runs exactly one backward per
-  /// step. `dx` storage is reused via resize.
+  /// Given dL/d(out), OVERWRITES the grad buffers with dL/dW and dL/db
+  /// and writes dL/dx into `dx` (skipped when dx == nullptr, i.e., for
+  /// the first layer). `input` is this layer's input and `output` its
+  /// activated output from forward_eval; `dout` is modified in place and
+  /// `dx` storage is reused via resize.
   void backward_at(const Matrix& input, const Matrix& output, Matrix& dout,
                    Matrix* dx);
-
-  void zero_grad();
 
   std::size_t in_dim() const { return in_dim_; }
   std::size_t out_dim() const { return out_dim_; }
   Activation activation() const { return act_; }
   std::size_t num_params() const { return weights_.size() + bias_.size(); }
 
-  /// Mutable access conservatively bumps the parameter version: any
-  /// caller that might write (Sgd::step via Mlp::add_to_parameters,
-  /// deserialization, tests poking entries) invalidates the packed
-  /// weight panel, which the next forward() rebuilds.
-  Matrix& weights() {
-    ++param_version_;
-    return weights_;
-  }
+  Matrix& weights() { return weights_; }
   const Matrix& weights() const { return weights_; }
-  std::uint64_t param_version() const { return param_version_; }
-
-  /// Rebuilds the packed weight panel if stale. Called by forward();
-  /// exposed so tests can exercise the cache directly.
-  void ensure_packed();
-  /// True when the packed panel matches the current parameters (i.e.
-  /// the next forward on the SIMD arm will not repack).
-  bool packed_cache_valid() const {
-    return packed_.valid_for(in_dim_, out_dim_, param_version_);
-  }
   std::vector<float>& bias() { return bias_; }
   const std::vector<float>& bias() const { return bias_; }
   Matrix& weight_grad() { return weight_grad_; }
@@ -82,16 +50,6 @@ class Dense {
   std::vector<float> bias_;   // (out)
   Matrix weight_grad_;        // (in, out)
   std::vector<float> bias_grad_;
-
-  // Weight panel cache for the packed GEMM path. Starts at version 1
-  // with an empty pack (version 0 marks "never packed"), so the first
-  // forward() packs. const paths (forward_eval) only read it when it
-  // matches param_version_; they never pack, keeping them thread-safe.
-  std::uint64_t param_version_ = 1;
-  PackedB packed_;
-
-  Matrix cached_input_;   // x from the last forward
-  Matrix cached_output_;  // act(xW + b) from the last forward
 };
 
 }  // namespace baffle

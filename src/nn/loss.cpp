@@ -21,13 +21,6 @@ void check_labels(const Matrix& logits, std::span<const int> labels) {
 }
 }  // namespace
 
-LossResult softmax_cross_entropy(const Matrix& logits,
-                                 std::span<const int> labels) {
-  LossResult result;
-  result.loss = softmax_cross_entropy_into(logits, labels, result.dlogits);
-  return result;
-}
-
 double softmax_cross_entropy_into(const Matrix& logits,
                                   std::span<const int> labels,
                                   Matrix& dlogits) {

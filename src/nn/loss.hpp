@@ -2,30 +2,21 @@
 // Softmax cross-entropy loss with fused gradient.
 
 #include <span>
-#include <vector>
 
 #include "tensor/matrix.hpp"
 
 namespace baffle {
 
-struct LossResult {
-  double loss = 0.0;   // mean cross-entropy over the batch
-  Matrix dlogits;      // gradient w.r.t. logits (already divided by batch)
-};
-
-/// Computes mean softmax cross-entropy of `logits` against integer
-/// `labels` and the gradient dL/dlogits = (softmax - onehot) / batch.
-LossResult softmax_cross_entropy(const Matrix& logits,
-                                 std::span<const int> labels);
-
-/// As softmax_cross_entropy but writes the gradient into a caller-owned
-/// buffer (storage reused via resize) and returns the loss —
-/// allocation-free once `dlogits` is warm.
+/// Returns the mean softmax cross-entropy of `logits` against integer
+/// `labels` and writes the gradient dL/dlogits = (softmax - onehot) /
+/// batch into a caller-owned buffer (storage reused via resize).
+/// Allocation-free once `dlogits` is warm.
 double softmax_cross_entropy_into(const Matrix& logits,
                                   std::span<const int> labels,
                                   Matrix& dlogits);
 
-/// Loss only (no gradient) — used by evaluation paths.
+/// Loss only (no gradient), computed unfused — the reference the fused
+/// variant is checked against.
 double softmax_cross_entropy_loss(const Matrix& logits,
                                   std::span<const int> labels);
 

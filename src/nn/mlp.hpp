@@ -54,14 +54,6 @@ class Mlp {
   /// Re-randomize all parameters.
   void init(Rng& rng);
 
-  /// Forward pass: logits for a batch (rows = samples).
-  Matrix forward(const Matrix& x);
-
-  /// Backward pass from dL/dlogits; accumulates parameter gradients.
-  void backward(Matrix dlogits);
-
-  void zero_grad();
-
   /// Training forward pass through workspace buffers: ws.acts[i] holds
   /// layer i's activated output, so nothing is cached in the layers and
   /// nothing is allocated once the workspace is warm. Returns the logits
@@ -70,7 +62,8 @@ class Mlp {
 
   /// Backward pass from ws.dlogits using the activations left in `ws` by
   /// forward_train on the same `x`. OVERWRITES the layers' gradient
-  /// buffers (exactly one backward per step — no zero_grad needed).
+  /// buffers (exactly one backward per step). Throws std::logic_error
+  /// when no forward_train has filled `ws`.
   void backward_train(const Matrix& x, TrainWorkspace& ws);
 
   /// Rows per inference chunk: large enough to keep GEMM efficient,
@@ -97,7 +90,6 @@ class Mlp {
   /// weights row-major then bias.
   std::vector<float> parameters() const;
   void set_parameters(std::span<const float> flat);
-  std::vector<float> gradients() const;
 
   /// Allocation-free variants: write the flat vector into a caller-owned
   /// buffer (out.size() == num_params()).

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
 #include "util/metrics.hpp"
+#include "util/scratch_lease.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -14,43 +14,9 @@ namespace baffle {
 namespace {
 constexpr std::size_t kPC = kernels::kPanelCols;
 
-/// Leased scratch, one slot per (thread, nesting depth) — the
-/// PackScratchLease pattern (tensor/ops.cpp). A plain thread_local
-/// buffer is not safe here: parallel_for waiters HELP-DRAIN the pool
-/// queue, so a thread blocked in one predict_many can steal and run
-/// another validator's predict_many (or one of its tiles) in the middle
-/// of its own — each nesting level must therefore get its own buffer.
-/// Slots live in a deque (stable addresses across growth) and are
-/// reused once their level returns.
-template <typename T>
-class ScratchLease {
- public:
-  // Sanctioned lock-free escape: the slot stack is thread_local, so no
-  // two threads ever touch the same deque; per-thread exclusivity is
-  // the whole invariant and there is no capability to annotate.
-  ScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
-    if (slots().size() <= depth()) slots().emplace_back();
-    buffer_ = &slots()[depth()];
-    ++depth();
-  }
-  ~ScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS { --depth(); }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  T& operator*() const { return *buffer_; }
-
- private:
-  static std::deque<T>& slots() {
-    thread_local std::deque<T> s;
-    return s;
-  }
-  static std::size_t& depth() {
-    thread_local std::size_t d = 0;
-    return d;
-  }
-  T* buffer_;
-};
-
+// A thread blocked in one predict_many help-drains the pool and can
+// run another validator's predict_many (or one of its tiles) in the
+// middle of its own, so both scratch kinds are leased per nesting level.
 using PanelLease = ScratchLease<MultiModelEval::PanelScratch>;
 using CallLease = ScratchLease<MultiModelEval::CallScratch>;
 

@@ -16,11 +16,6 @@ Sgd::Sgd(std::size_t num_params, SgdConfig config)
   }
 }
 
-void Sgd::step(Mlp& model) {
-  TrainWorkspace ws;
-  step(model, ws);
-}
-
 void Sgd::step(Mlp& model, TrainWorkspace& ws) {
   if (model.num_params() != velocity_.size()) {
     throw std::invalid_argument("Sgd::step: model size mismatch");
@@ -45,8 +40,6 @@ void Sgd::step(Mlp& model, TrainWorkspace& ws) {
   } else {
     scale_into(ws.delta, -config_.learning_rate, grad);
   }
-  // add_to_parameters goes through Dense::weights(), whose version bump
-  // invalidates each layer's packed GEMM panel.
   model.add_to_parameters(ws.delta);
 }
 

@@ -22,13 +22,10 @@ class Sgd {
  public:
   Sgd(std::size_t num_params, SgdConfig config);
 
-  /// Applies one step using the model's accumulated gradients, then
-  /// leaves them untouched (callers zero_grad per batch).
-  void step(Mlp& model);
-
-  /// Allocation-free step: gathers the flat gradient and builds the
-  /// update inside the workspace's scratch vectors. Same arithmetic as
-  /// step(Mlp&).
+  /// Applies one step using the model's current gradients (left by
+  /// Mlp::backward_train). Gathers the flat gradient and builds the
+  /// update inside the workspace's scratch vectors, so a warm workspace
+  /// makes the step allocation-free.
   void step(Mlp& model, TrainWorkspace& ws);
 
   const SgdConfig& config() const { return config_; }

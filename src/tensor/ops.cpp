@@ -4,14 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
 #include "util/contracts.hpp"
 #include "tensor/simd.hpp"
 #include "util/metrics.hpp"
-#include "util/sync.hpp"
+#include "util/scratch_lease.hpp"
 #include "util/thread_pool.hpp"
 
 namespace baffle {
@@ -80,42 +79,11 @@ class GemmReport {
          b0 + b_len * sizeof(float) <= a0;
 }
 
-/// Packing scratch, one buffer per (thread, GEMM nesting depth).
-///
-/// A plain thread_local buffer is not safe here: a large GEMM fans its
-/// row blocks out through parallel_for, whose waiter *help-drains* the
-/// pool queue. The stolen task can itself GEMM on this thread — with
-/// remote workers still reading this thread's panels for the outer
-/// call — so each nesting level must pack into its own buffer. Slots
-/// live in a deque (stable addresses across growth) and are reused
-/// once their level's row blocks have joined.
-class PackScratchLease {
- public:
-  // Sanctioned lock-free escape: the slot stack is thread_local, so no
-  // two threads ever touch the same deque; per-thread exclusivity is the
-  // whole invariant and there is no capability to annotate.
-  PackScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS {
-    if (slots().size() <= depth()) slots().emplace_back();
-    buffer_ = &slots()[depth()];
-    ++depth();
-  }
-  ~PackScratchLease() BAFFLE_NO_THREAD_SAFETY_ANALYSIS { --depth(); }
-  PackScratchLease(const PackScratchLease&) = delete;
-  PackScratchLease& operator=(const PackScratchLease&) = delete;
-
-  PackedB& operator*() const { return *buffer_; }
-
- private:
-  static std::deque<PackedB>& slots() {
-    thread_local std::deque<PackedB> s;
-    return s;
-  }
-  static std::size_t& depth() {
-    thread_local std::size_t d = 0;
-    return d;
-  }
-  PackedB* buffer_;
-};
+/// Packing scratch, one buffer per (thread, GEMM nesting depth): a
+/// large GEMM fans its row blocks out through parallel_for, whose waiter
+/// help-drains and can run a nested GEMM on this thread while remote
+/// workers still read the outer call's panels.
+using PackScratchLease = ScratchLease<PackedB>;
 
 /// Packed-path executor shared by the three transpose configurations.
 void run_packed(const kernels::KernelTable& kt, const float* a,
@@ -149,9 +117,7 @@ void run_rows(void (*kernel)(const kernels::GemmRowArgs&, std::size_t,
 }
 }  // namespace
 
-bool gemm_uses_packed() { return kernels::active_table().prefer_packed; }
-
-void pack_b_panels(ConstMatrixView b, PackedB& out, std::uint64_t version) {
+void pack_b_panels(ConstMatrixView b, PackedB& out) {
   constexpr std::size_t pc = kernels::kPanelCols;
   const std::size_t k = b.rows(), n = b.cols();
   const std::size_t panels = (n + pc - 1) / pc;
@@ -169,7 +135,6 @@ void pack_b_panels(ConstMatrixView b, PackedB& out, std::uint64_t version) {
   }
   out.k_ = k;
   out.n_ = n;
-  out.version_ = version;
 }
 
 void pack_bt_panels(const Matrix& b, PackedB& out) {
@@ -205,7 +170,6 @@ void pack_bt_panels(const Matrix& b, PackedB& out) {
   }
   out.k_ = k;
   out.n_ = n;
-  out.version_ = 0;
 }
 
 void gemm_ab_packed(ConstMatrixView a, const PackedB& bp, Matrix& out) {
@@ -239,7 +203,7 @@ void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out) {
     // Packing happens on the caller thread before any row-block fan-out;
     // the per-depth scratch is reused (and regrown monotonically).
     const PackScratchLease scratch;
-    pack_b_panels(b, *scratch, /*version=*/0);
+    pack_b_panels(b, *scratch);
     run_packed(kt, a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, *scratch,
                out, m, macs);
     return;
@@ -271,7 +235,7 @@ void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out) {
   const kernels::KernelTable& kt = kernels::active_table();
   if (kt.prefer_packed) {
     const PackScratchLease scratch;
-    pack_b_panels(b, *scratch, /*version=*/0);
+    pack_b_panels(b, *scratch);
     // A enters transposed: output row i reads column i of a.
     run_packed(kt, a.flat().data(), /*a_row_stride=*/1, /*a_p_stride=*/m,
                *scratch, out, m, macs);
@@ -362,12 +326,6 @@ void softmax_rows(Matrix& m) {
     }
     for (float& x : row) x /= total;
   }
-}
-
-std::vector<std::size_t> argmax_rows(const Matrix& m) {
-  std::vector<std::size_t> out(m.rows());
-  argmax_rows_into(m, out);
-  return out;
 }
 
 void argmax_rows_into(const Matrix& m, std::span<std::size_t> out) {

@@ -21,7 +21,6 @@
 // tensor/primitives.hpp, included here so existing callers keep
 // compiling unchanged.
 
-#include <cstdint>
 #include <span>
 
 #include "tensor/aligned.hpp"
@@ -31,18 +30,14 @@
 namespace baffle {
 
 /// B operand packed into contiguous 16-column panels for the SIMD GEMM
-/// microkernels (layout described in tensor/kernels.hpp). Carries the
-/// owner's parameter version so a cached pack can be validated against
-/// the weights it was built from. Copying yields an empty pack — model
-/// clones repack on first use rather than paying the copy.
+/// microkernels (layout described in tensor/kernels.hpp). Move-only: a
+/// pack is per-call scratch (the GEMM entry points lease one per nesting
+/// level) or owned by one engine (MultiModelEval's packed inputs).
 class PackedB {
  public:
   PackedB() = default;
-  PackedB(const PackedB&) {}
-  PackedB& operator=(const PackedB&) {
-    clear();
-    return *this;
-  }
+  PackedB(const PackedB&) = delete;
+  PackedB& operator=(const PackedB&) = delete;
   PackedB(PackedB&&) = default;
   PackedB& operator=(PackedB&&) = default;
 
@@ -50,40 +45,18 @@ class PackedB {
   std::size_t k() const { return k_; }
   std::size_t n() const { return n_; }
   const float* data() const { return data_.data(); }
-  std::uint64_t version() const { return version_; }
-
-  /// True when this pack was built from B of shape (k, n) at parameter
-  /// version `version` (0 never matches: it marks "never packed").
-  bool valid_for(std::size_t k, std::size_t n, std::uint64_t version) const {
-    return version != 0 && version_ == version && k_ == k && n_ == n &&
-           !data_.empty();
-  }
-
-  void clear() {
-    data_.clear();
-    k_ = n_ = 0;
-    version_ = 0;
-  }
 
  private:
-  friend void pack_b_panels(ConstMatrixView b, PackedB& out,
-                            std::uint64_t version);
+  friend void pack_b_panels(ConstMatrixView b, PackedB& out);
   friend void pack_bt_panels(const Matrix& b, PackedB& out);
 
   AlignedFloatVec data_;
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::uint64_t version_ = 0;
 };
 
-/// True when the active kernel arm wants packed-B GEMM (the SIMD arm).
-/// Dense uses this to decide whether maintaining its weight pack is
-/// worth anything.
-bool gemm_uses_packed();
-
-/// Packs B (k x n, natural layout) into panels; tag with `version` so
-/// valid_for() can match it later (pass 0 for throwaway packs).
-void pack_b_panels(ConstMatrixView b, PackedB& out, std::uint64_t version);
+/// Packs B (k x n, natural layout) into panels.
+void pack_b_panels(ConstMatrixView b, PackedB& out);
 
 /// Packs Bᵀ for gemm_abt: b is (n, k) and the panels hold its columns.
 void pack_bt_panels(const Matrix& b, PackedB& out);
@@ -109,11 +82,8 @@ void col_sum(const Matrix& m, std::span<float> out);
 /// In-place row-wise softmax (numerically stabilized).
 void softmax_rows(Matrix& m);
 
-/// Index of the max entry of each row.
-std::vector<std::size_t> argmax_rows(const Matrix& m);
-
 /// Index of the max entry of each row, written into out (out.size() ==
-/// m.rows()). Allocation-free variant for the chunked inference path.
+/// m.rows()).
 void argmax_rows_into(const Matrix& m, std::span<std::size_t> out);
 
 }  // namespace baffle

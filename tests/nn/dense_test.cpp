@@ -35,7 +35,7 @@ TEST(Dense, ForwardLinearIdentity) {
   layer.bias() = {0.5f, -0.5f};
   Matrix x = Matrix::from_rows(1, 2, {2.0f, 3.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   EXPECT_EQ(out.at(0, 0), 2.5f);
   EXPECT_EQ(out.at(0, 1), 2.5f);
 }
@@ -46,7 +46,7 @@ TEST(Dense, ForwardReluClampsNegatives) {
   layer.bias() = {-5.0f};
   Matrix x = Matrix::from_rows(1, 1, {2.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   EXPECT_EQ(out.at(0, 0), 0.0f);
 }
 
@@ -54,28 +54,30 @@ TEST(Dense, ForwardRejectsWrongInputDim) {
   Dense layer(3, 2, Activation::kRelu);
   Matrix x(1, 4);
   Matrix out;
-  EXPECT_THROW(layer.forward(x, out), std::invalid_argument);
+  EXPECT_THROW(layer.forward_eval(x, out), std::invalid_argument);
 }
 
-TEST(Dense, BackwardAccumulatesGradients) {
+TEST(Dense, BackwardAtOverwritesGradients) {
   Dense layer(2, 1, Activation::kIdentity);
   layer.weights().at(0, 0) = 1.0f;
   layer.weights().at(1, 0) = 1.0f;
   Matrix x = Matrix::from_rows(1, 2, {3.0f, 4.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   Matrix dout = Matrix::from_rows(1, 1, {1.0f});
-  layer.backward(dout, nullptr);
+  layer.backward_at(x, out, dout, nullptr);
   // dW = xᵀ dout
   EXPECT_EQ(layer.weight_grad().at(0, 0), 3.0f);
   EXPECT_EQ(layer.weight_grad().at(1, 0), 4.0f);
   EXPECT_EQ(layer.bias_grad()[0], 1.0f);
 
-  // Accumulation: a second backward adds.
-  layer.forward(x, out);
-  Matrix dout2 = Matrix::from_rows(1, 1, {1.0f});
-  layer.backward(dout2, nullptr);
+  // A second backward replaces the first step's gradient instead of
+  // adding to it, so no zeroing pass is needed between steps.
+  Matrix dout2 = Matrix::from_rows(1, 1, {2.0f});
+  layer.backward_at(x, out, dout2, nullptr);
   EXPECT_EQ(layer.weight_grad().at(0, 0), 6.0f);
+  EXPECT_EQ(layer.weight_grad().at(1, 0), 8.0f);
+  EXPECT_EQ(layer.bias_grad()[0], 2.0f);
 }
 
 TEST(Dense, BackwardComputesInputGradient) {
@@ -84,82 +86,33 @@ TEST(Dense, BackwardComputesInputGradient) {
   layer.weights().at(1, 1) = 3.0f;
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix out;
-  layer.forward(x, out);
+  layer.forward_eval(x, out);
   Matrix dout = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix dx;
-  layer.backward(dout, &dx);
+  layer.backward_at(x, out, dout, &dx);
   // dx = dout Wᵀ
   EXPECT_EQ(dx.at(0, 0), 2.0f);
   EXPECT_EQ(dx.at(0, 1), 3.0f);
-}
-
-TEST(Dense, ZeroGradResets) {
-  Dense layer(2, 1, Activation::kIdentity);
-  Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
-  Matrix out;
-  layer.forward(x, out);
-  Matrix dout = Matrix::from_rows(1, 1, {1.0f});
-  layer.backward(dout, nullptr);
-  layer.zero_grad();
-  for (float g : layer.weight_grad().flat()) EXPECT_EQ(g, 0.0f);
-  for (float g : layer.bias_grad()) EXPECT_EQ(g, 0.0f);
-}
-
-TEST(Dense, WeightMutationBumpsParamVersion) {
-  Dense layer(4, 3, Activation::kIdentity);
-  const auto v0 = layer.param_version();
-  layer.weights().at(0, 0) = 1.0f;  // non-const accessor bumps
-  EXPECT_GT(layer.param_version(), v0);
-  const Dense& cl = layer;
-  (void)cl.weights();  // const accessor must not
-  EXPECT_EQ(layer.param_version(), v0 + 1);
-  Rng rng(9);
-  layer.init_weights(rng);
-  EXPECT_GT(layer.param_version(), v0 + 1);
-}
-
-TEST(Dense, PackedCacheInvalidatedByWeightMutation) {
-  Dense layer(8, 6, Activation::kIdentity);
-  Rng rng(9);
-  layer.init_weights(rng);
-  EXPECT_FALSE(layer.packed_cache_valid());  // nothing packed yet
-
-  layer.ensure_packed();
-  // On the SIMD arm the pack now matches the weights; on the scalar arm
-  // ensure_packed() is a no-op and the cache stays invalid.
-  EXPECT_EQ(layer.packed_cache_valid(), gemm_uses_packed());
-
-  Matrix x = Matrix::from_rows(2, 8, std::vector<float>(16, 0.5f));
-  Matrix out1;
-  layer.forward(x, out1);
-  EXPECT_EQ(layer.packed_cache_valid(), gemm_uses_packed());
-
-  // Mutating weights through the accessor invalidates the pack...
-  layer.weights().at(0, 0) += 2.0f;
-  EXPECT_FALSE(layer.packed_cache_valid());
-
-  // ...and the next forward repacks and sees the new weights.
-  Matrix out2;
-  layer.forward(x, out2);
-  EXPECT_EQ(layer.packed_cache_valid(), gemm_uses_packed());
-  EXPECT_NEAR(out2.at(0, 0), out1.at(0, 0) + 0.5f * 2.0f, 1e-5f);
-
-  // forward_eval on a const layer reuses a valid pack but never packs.
-  const Dense& cl = layer;
-  Matrix out3;
-  cl.forward_eval(x, out3);
-  for (std::size_t j = 0; j < out2.cols(); ++j) {
-    EXPECT_NEAR(out3.at(0, j), out2.at(0, j), 1e-6f) << "col " << j;
-  }
 }
 
 TEST(Dense, BackwardShapeMismatchThrows) {
   Dense layer(2, 2, Activation::kIdentity);
   Matrix x = Matrix::from_rows(1, 2, {1.0f, 1.0f});
   Matrix out;
-  layer.forward(x, out);
-  Matrix bad = Matrix::from_rows(1, 3, {1, 1, 1});
-  EXPECT_THROW(layer.backward(bad, nullptr), std::invalid_argument);
+  layer.forward_eval(x, out);
+  // dout wider than the layer's output.
+  Matrix wide = Matrix::from_rows(1, 3, {1, 1, 1});
+  EXPECT_THROW(layer.backward_at(x, out, wide, nullptr),
+               std::invalid_argument);
+  // dout batch differs from the input batch.
+  Matrix tall = Matrix::from_rows(2, 2, {1, 1, 1, 1});
+  EXPECT_THROW(layer.backward_at(x, out, tall, nullptr),
+               std::invalid_argument);
+  // input width differs from the layer's input.
+  Matrix bad_x = Matrix::from_rows(1, 3, {1, 1, 1});
+  Matrix dout = Matrix::from_rows(1, 2, {1, 1});
+  EXPECT_THROW(layer.backward_at(bad_x, out, dout, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

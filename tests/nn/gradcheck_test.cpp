@@ -40,9 +40,9 @@ constexpr const char* kCaseNames[] = {"linear",       "relu_1hidden",
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 double loss_at(Mlp& model, const std::vector<float>& params, const Matrix& x,
-               const std::vector<int>& labels) {
+               const std::vector<int>& labels, TrainWorkspace& ws) {
   model.set_parameters(params);
-  return softmax_cross_entropy_loss(model.forward(x), labels);
+  return softmax_cross_entropy_loss(model.forward_train(x, ws), labels);
 }
 
 TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
@@ -59,12 +59,13 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
         0, static_cast<std::int64_t>(model.output_dim()) - 1));
   }
 
-  // Analytic gradient.
-  model.zero_grad();
-  const Matrix logits = model.forward(x);
-  LossResult loss = softmax_cross_entropy(logits, labels);
-  model.backward(std::move(loss.dlogits));
-  const std::vector<float> analytic = model.gradients();
+  // Analytic gradient, through the path every client trains with.
+  TrainWorkspace ws;
+  const Matrix& logits = model.forward_train(x, ws);
+  softmax_cross_entropy_into(logits, labels, ws.dlogits);
+  model.backward_train(x, ws);
+  std::vector<float> analytic(model.num_params());
+  model.gradients_into(analytic);
   std::vector<float> params = model.parameters();
 
   // Central differences on a random subset of parameters (full sweep on
@@ -75,9 +76,9 @@ TEST_P(GradCheck, BackpropMatchesFiniteDifferences) {
   for (std::size_t i = 0; i < params.size(); i += stride) {
     const float orig = params[i];
     params[i] = orig + static_cast<float>(eps);
-    const double up = loss_at(model, params, x, labels);
+    const double up = loss_at(model, params, x, labels, ws);
     params[i] = orig - static_cast<float>(eps);
-    const double down = loss_at(model, params, x, labels);
+    const double down = loss_at(model, params, x, labels, ws);
     params[i] = orig;
     const double numeric = (up - down) / (2.0 * eps);
     EXPECT_NEAR(analytic[i], numeric, 5e-3) << "param " << i;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace baffle {
 namespace {
@@ -31,10 +32,11 @@ TEST(Loss, ConfidentWrongPredictionHighLoss) {
 TEST(Loss, GradientSumsToZeroPerRow) {
   Matrix logits = Matrix::from_rows(2, 3, {1, 2, 3, -1, 0, 1});
   const std::vector<int> labels{0, 2};
-  const LossResult result = softmax_cross_entropy(logits, labels);
+  Matrix dlogits;
+  softmax_cross_entropy_into(logits, labels, dlogits);
   for (std::size_t r = 0; r < 2; ++r) {
     float total = 0.0f;
-    for (float g : result.dlogits.row(r)) total += g;
+    for (float g : dlogits.row(r)) total += g;
     EXPECT_NEAR(total, 0.0f, 1e-6f);
   }
 }
@@ -42,47 +44,56 @@ TEST(Loss, GradientSumsToZeroPerRow) {
 TEST(Loss, GradientIsSoftmaxMinusOneHotOverBatch) {
   Matrix logits(1, 2, 0.0f);  // softmax = (0.5, 0.5)
   const std::vector<int> labels{0};
-  const LossResult result = softmax_cross_entropy(logits, labels);
-  EXPECT_NEAR(result.dlogits.at(0, 0), -0.5f, 1e-6f);
-  EXPECT_NEAR(result.dlogits.at(0, 1), 0.5f, 1e-6f);
+  Matrix dlogits;
+  softmax_cross_entropy_into(logits, labels, dlogits);
+  EXPECT_NEAR(dlogits.at(0, 0), -0.5f, 1e-6f);
+  EXPECT_NEAR(dlogits.at(0, 1), 0.5f, 1e-6f);
 }
 
 TEST(Loss, GradientScalesWithBatch) {
   Matrix logits(2, 2, 0.0f);
   const std::vector<int> labels{0, 0};
-  const LossResult result = softmax_cross_entropy(logits, labels);
-  EXPECT_NEAR(result.dlogits.at(0, 0), -0.25f, 1e-6f);  // (0.5-1)/2
+  Matrix dlogits;
+  softmax_cross_entropy_into(logits, labels, dlogits);
+  EXPECT_NEAR(dlogits.at(0, 0), -0.25f, 1e-6f);  // (0.5-1)/2
 }
 
 TEST(Loss, LossMatchesGradVariant) {
   Matrix logits = Matrix::from_rows(3, 4, {1, 2, 3, 4, 0, 0, 0, 0, -2, 5, 1, 1});
   const std::vector<int> labels{3, 1, 2};
-  EXPECT_NEAR(softmax_cross_entropy(logits, labels).loss,
+  Matrix dlogits;
+  EXPECT_NEAR(softmax_cross_entropy_into(logits, labels, dlogits),
               softmax_cross_entropy_loss(logits, labels), 1e-9);
 }
 
 TEST(Loss, LabelCountMismatchThrows) {
   Matrix logits(2, 3);
   const std::vector<int> labels{0};
-  EXPECT_THROW(softmax_cross_entropy(logits, labels), std::invalid_argument);
+  Matrix dlogits;
+  EXPECT_THROW(softmax_cross_entropy_into(logits, labels, dlogits),
+               std::invalid_argument);
   EXPECT_THROW(softmax_cross_entropy_loss(logits, labels),
                std::invalid_argument);
 }
 
 TEST(Loss, LabelOutOfRangeThrows) {
   Matrix logits(1, 3);
-  EXPECT_THROW(softmax_cross_entropy(logits, std::vector<int>{3}),
-               std::invalid_argument);
-  EXPECT_THROW(softmax_cross_entropy(logits, std::vector<int>{-1}),
-               std::invalid_argument);
+  Matrix dlogits;
+  EXPECT_THROW(
+      softmax_cross_entropy_into(logits, std::vector<int>{3}, dlogits),
+      std::invalid_argument);
+  EXPECT_THROW(
+      softmax_cross_entropy_into(logits, std::vector<int>{-1}, dlogits),
+      std::invalid_argument);
 }
 
 TEST(Loss, NumericallyStableForExtremeLogits) {
   Matrix logits = Matrix::from_rows(1, 2, {1000.0f, -1000.0f});
   const std::vector<int> labels{1};
-  const LossResult result = softmax_cross_entropy(logits, labels);
-  EXPECT_TRUE(std::isfinite(result.loss));
-  EXPECT_TRUE(std::isfinite(result.dlogits.at(0, 0)));
+  Matrix dlogits;
+  const double loss = softmax_cross_entropy_into(logits, labels, dlogits);
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_TRUE(std::isfinite(dlogits.at(0, 0)));
 }
 
 }  // namespace

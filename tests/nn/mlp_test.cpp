@@ -100,8 +100,9 @@ TEST(Mlp, IdenticalParamsGiveIdenticalOutputs) {
   Rng data_rng(3);
   Matrix x(5, 4);
   for (float& v : x.flat()) v = static_cast<float>(data_rng.normal());
-  const Matrix ya = a.forward(x);
-  const Matrix yb = b.forward(x);
+  TrainWorkspace wa, wb;
+  const Matrix& ya = a.forward_train(x, wa);
+  const Matrix& yb = b.forward_train(x, wb);
   for (std::size_t i = 0; i < ya.size(); ++i) {
     EXPECT_EQ(ya.flat()[i], yb.flat()[i]);
   }
@@ -141,21 +142,51 @@ TEST(Mlp, GradientsSizeMatchesParams) {
   Rng rng(5);
   model.init(rng);
   Matrix x(3, 4, 0.5f);
-  Matrix logits = model.forward(x);
-  model.zero_grad();
-  model.backward(Matrix(3, 3, 1.0f));
-  EXPECT_EQ(model.gradients().size(), model.num_params());
+  TrainWorkspace ws;
+  model.forward_train(x, ws);
+  ws.dlogits = Matrix(3, 3, 1.0f);
+  model.backward_train(x, ws);
+  std::vector<float> grad(model.num_params());
+  EXPECT_NO_THROW(model.gradients_into(grad));
+  std::vector<float> short_grad(2);
+  EXPECT_THROW(model.gradients_into(short_grad), std::invalid_argument);
 }
 
-TEST(Mlp, ZeroGradClearsAllLayers) {
+TEST(Mlp, BackwardTrainOverwritesStaleGradients) {
+  // backward_train replaces every layer's gradient, so a step never sees
+  // the previous batch's gradient: the same batch gives the same
+  // gradient whatever ran before it.
   Mlp model(small_config());
   Rng rng(6);
   model.init(rng);
-  Matrix x(2, 4, 1.0f);
-  model.forward(x);
-  model.backward(Matrix(2, 3, 1.0f));
-  model.zero_grad();
-  for (float g : model.gradients()) EXPECT_EQ(g, 0.0f);
+  const Matrix x(2, 4, 1.0f);
+  TrainWorkspace ws;
+  model.forward_train(x, ws);
+  ws.dlogits = Matrix(2, 3, 1.0f);
+  model.backward_train(x, ws);
+  std::vector<float> first(model.num_params());
+  model.gradients_into(first);
+
+  const Matrix other(2, 4, -3.0f);
+  model.forward_train(other, ws);
+  ws.dlogits = Matrix(2, 3, 0.5f);
+  model.backward_train(other, ws);
+  model.forward_train(x, ws);
+  ws.dlogits = Matrix(2, 3, 1.0f);
+  model.backward_train(x, ws);
+  std::vector<float> again(model.num_params());
+  model.gradients_into(again);
+  EXPECT_EQ(again, first);
+}
+
+TEST(Mlp, BackwardTrainWithoutForwardThrows) {
+  Mlp model(small_config());
+  Rng rng(8);
+  model.init(rng);
+  const Matrix x(2, 4, 1.0f);
+  TrainWorkspace ws;
+  ws.dlogits = Matrix(2, 3, 1.0f);
+  EXPECT_THROW(model.backward_train(x, ws), std::logic_error);
 }
 
 TEST(Mlp, DeepNetworkForwardShape) {
@@ -163,7 +194,8 @@ TEST(Mlp, DeepNetworkForwardShape) {
   Rng rng(7);
   model.init(rng);
   Matrix x(10, 8, 0.1f);
-  const Matrix y = model.forward(x);
+  TrainWorkspace ws;
+  const Matrix& y = model.forward_train(x, ws);
   EXPECT_EQ(y.rows(), 10u);
   EXPECT_EQ(y.cols(), 5u);
 }

@@ -11,11 +11,17 @@ namespace {
 MlpConfig tiny() { return MlpConfig{{2, 2}, Activation::kRelu}; }
 
 /// Puts a known gradient into the model by running a forward/backward.
-void set_unit_gradient(Mlp& model) {
-  model.zero_grad();
-  Matrix x(1, 2, 1.0f);
-  model.forward(x);
-  model.backward(Matrix(1, 2, 1.0f));
+void set_unit_gradient(Mlp& model, TrainWorkspace& ws) {
+  const Matrix x(1, 2, 1.0f);
+  model.forward_train(x, ws);
+  ws.dlogits = Matrix(1, 2, 1.0f);
+  model.backward_train(x, ws);
+}
+
+std::vector<float> gradients_of(const Mlp& model) {
+  std::vector<float> grad(model.num_params());
+  model.gradients_into(grad);
+  return grad;
 }
 
 TEST(Sgd, RejectsBadHyperparameters) {
@@ -29,11 +35,12 @@ TEST(Sgd, StepMovesAgainstGradient) {
   Mlp model(tiny());
   std::vector<float> zero(model.num_params(), 0.0f);
   model.set_parameters(zero);
-  set_unit_gradient(model);
-  const auto grad = model.gradients();
+  TrainWorkspace ws;
+  set_unit_gradient(model, ws);
+  const auto grad = gradients_of(model);
 
   Sgd opt(model.num_params(), SgdConfig{.learning_rate = 0.5f});
-  opt.step(model);
+  opt.step(model, ws);
   const auto params = model.parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
     EXPECT_FLOAT_EQ(params[i], -0.5f * grad[i]);
@@ -49,11 +56,12 @@ TEST(Sgd, MomentumAcceleratesRepeatedSteps) {
   Sgd plain(plain_model.num_params(), SgdConfig{.learning_rate = 0.1f});
   Sgd mom(mom_model.num_params(),
           SgdConfig{.learning_rate = 0.1f, .momentum = 0.9f});
+  TrainWorkspace ws;
   for (int i = 0; i < 3; ++i) {
-    set_unit_gradient(plain_model);
-    plain.step(plain_model);
-    set_unit_gradient(mom_model);
-    mom.step(mom_model);
+    set_unit_gradient(plain_model, ws);
+    plain.step(plain_model, ws);
+    set_unit_gradient(mom_model, ws);
+    mom.step(mom_model, ws);
   }
   // With a persistent gradient direction, momentum must travel farther.
   EXPECT_GT(l2_norm(mom_model.parameters()),
@@ -64,10 +72,12 @@ TEST(Sgd, WeightDecayShrinksParameters) {
   Mlp model(tiny());
   std::vector<float> ones(model.num_params(), 1.0f);
   model.set_parameters(ones);
-  model.zero_grad();  // zero gradient: only decay acts
+  // A fresh model's gradient buffers are zero: only decay acts.
+  ASSERT_EQ(l2_norm(gradients_of(model)), 0.0f);
   Sgd opt(model.num_params(),
           SgdConfig{.learning_rate = 0.1f, .weight_decay = 0.5f});
-  opt.step(model);
+  TrainWorkspace ws;
+  opt.step(model, ws);
   for (float p : model.parameters()) EXPECT_NEAR(p, 1.0f - 0.05f, 1e-6f);
 }
 
@@ -75,18 +85,20 @@ TEST(Sgd, GradClipBoundsStepSize) {
   Mlp model(tiny());
   std::vector<float> zero(model.num_params(), 0.0f);
   model.set_parameters(zero);
-  set_unit_gradient(model);
+  TrainWorkspace ws;
+  set_unit_gradient(model, ws);
   Sgd opt(model.num_params(),
           SgdConfig{.learning_rate = 1.0f, .grad_clip = 0.01f});
-  opt.step(model);
+  opt.step(model, ws);
   EXPECT_LE(l2_norm(model.parameters()), 0.01f + 1e-6f);
 }
 
 TEST(Sgd, ModelSizeMismatchThrows) {
   Mlp model(tiny());
   Sgd opt(model.num_params() + 1, SgdConfig{});
-  set_unit_gradient(model);
-  EXPECT_THROW(opt.step(model), std::invalid_argument);
+  TrainWorkspace ws;
+  set_unit_gradient(model, ws);
+  EXPECT_THROW(opt.step(model, ws), std::invalid_argument);
 }
 
 }  // namespace
