@@ -15,6 +15,7 @@
 #include "baselines/trimmed_mean.hpp"
 #include "bench_common.hpp"
 #include "attack/backdoor.hpp"
+#include "metrics/confusion.hpp"
 #include "tensor/ops.hpp"
 
 using namespace baffle;

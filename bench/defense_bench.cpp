@@ -7,7 +7,7 @@
 // (ℓ+1)-window: validate the candidate, commit it, rotate. The baseline
 // re-evaluates the committed model as next round's history.back() and
 // rebuilds the O(ℓ²) distance work behind φ and τ every round; the
-// incremental arm promotes the candidate's confusion matrix and shifts
+// incremental arm promotes the candidate's error counts and shifts
 // its distance matrix by one row/column. The speedup is only admissible
 // because the per-round (vote, φ, τ) triples are bit-identical —
 // checked here and reported as parity_ok.
@@ -57,7 +57,7 @@ BenchSetup make_setup(bool smoke) {
   }
 
   // Random-walk parameter chain: validation cost does not depend on
-  // model quality, only on distinct confusion matrices per version.
+  // model quality, only on distinct per-class errors per version.
   Mlp model(s.arch);
   model.init(rng);
   ParamVec params = model.parameters();

@@ -14,8 +14,8 @@
 //          defense.on_commit(server.version(),
 //                            proposal.candidate_params); }
 //
-// Client validators persist across rounds so their per-model confusion
-// matrices are cached; validation of the n validators runs on the global
+// Client validators persist across rounds so their per-model error
+// counts are cached; validation of the n validators runs on the global
 // thread pool (each validator is an independent object).
 
 #include <map>

@@ -1,33 +1,38 @@
 #include "core/prediction_cache.hpp"
 
+#include "util/contracts.hpp"
+#include "util/metrics.hpp"
+
 namespace baffle {
 
-const ConfusionMatrix* PredictionCache::find(std::uint64_t version) const {
+const ClassErrors* PredictionCache::find(std::uint64_t version) const {
   const auto it = entries_.find(version);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-void PredictionCache::insert(std::uint64_t version, ConfusionMatrix cm) {
-  if (entries_.size() >= max_entries_ && !entries_.contains(version)) {
-    // entries_ is version-ordered, so begin() is the smallest version —
-    // an exact LRU eviction (the window only ever looks back ℓ+1
-    // monotonically growing versions) without the old O(n) min-scan.
-    entries_.erase(entries_.begin());
-  }
-  entries_.insert_or_assign(version, std::move(cm));
+const ClassErrors& PredictionCache::lookup(std::uint64_t version) {
+  const ClassErrors* found = find(version);
+  BAFFLE_CHECK(found != nullptr, "scored version missing from the cache");
+  ++hits_;
+  MetricsRegistry::global().add_counter("prediction_cache.hits");
+  return *found;
 }
 
 void PredictionCache::insert_missed(std::uint64_t version,
-                                    ConfusionMatrix cm) {
+                                    ClassErrors errors) {
   ++misses_;
   MetricsRegistry::global().add_counter("prediction_cache.misses");
-  insert(version, std::move(cm));
+  entries_.insert_or_assign(version, std::move(errors));
 }
 
-void PredictionCache::promote(std::uint64_t version, ConfusionMatrix cm) {
+void PredictionCache::promote(std::uint64_t version, ClassErrors errors) {
   ++promotions_;
   MetricsRegistry::global().add_counter("prediction_cache.promotions");
-  insert(version, std::move(cm));
+  entries_.insert_or_assign(version, std::move(errors));
+}
+
+void PredictionCache::evict_below(std::uint64_t oldest) {
+  entries_.erase(entries_.begin(), entries_.lower_bound(oldest));
 }
 
 }  // namespace baffle

@@ -1,70 +1,49 @@
 #pragma once
-// Per-validator memoization of model evaluations.
+// Per-validator memoization of model evaluations: version → ClassErrors
+// (a model's per-class error counts, all Algorithm 2 reads of it). History
+// models are immutable, so each is evaluated once per validator; the
+// candidate's record is *promoted* when its round commits
+// (Validator::notify_commit), so no model is evaluated twice.
 //
-// Validating a round requires error-variation points between ℓ+1
-// history models on the validator's fixed dataset. History models are
-// immutable and identified by version, so each (version → confusion
-// matrix) pair is computed once per validator and reused across rounds;
-// the fresh candidate's evaluation is *promoted* into the cache when the
-// round commits (Validator::notify_commit), so in steady state no model
-// is ever evaluated twice.
+// Each round evicts every version below the window's oldest. That is
+// exact — versions strictly increase and the window only moves forward,
+// so such an entry can never be read again — and bounds the cache at ℓ+2
+// entries: the ℓ+1 window models plus the promoted candidate.
 
 #include <cstdint>
 #include <map>
-#include <optional>
 
-#include "metrics/confusion.hpp"
-#include "util/metrics.hpp"
+#include "core/error_variation.hpp"
 
 namespace baffle {
 
 class PredictionCache {
  public:
-  explicit PredictionCache(std::size_t max_entries = 256)
-      : max_entries_(max_entries) {}
+  /// The cached record for `version`, or nullptr. Counts nothing.
+  const ClassErrors* find(std::uint64_t version) const;
 
-  const ConfusionMatrix* find(std::uint64_t version) const;
-  void insert(std::uint64_t version, ConfusionMatrix cm);
+  /// Scoring-time lookup: counts a hit. The entry must be present —
+  /// every version a round reads was deposited before it is scored.
+  const ClassErrors& lookup(std::uint64_t version);
 
-  /// Binds a candidate's already-computed confusion matrix to the
-  /// version it was committed under, so next round's history pass hits
-  /// instead of redoing the forward pass. Counted separately from
-  /// get_or_eval traffic (`prediction_cache.promotions`).
-  void promote(std::uint64_t version, ConfusionMatrix cm);
+  /// Deposits a record evaluated by the engine pass; counts a miss.
+  void insert_missed(std::uint64_t version, ClassErrors errors);
 
-  /// Records an out-of-band evaluation: the entry was not served by the
-  /// cache, so it counts as a miss exactly like get_or_eval's slow
-  /// path, but the evaluation happened elsewhere (the validator's
-  /// batched cold-window prefetch computes many uncached models in one
-  /// fused pass and deposits the results here).
-  void insert_missed(std::uint64_t version, ConfusionMatrix cm);
+  /// Binds a committed candidate's record to its new version, so next
+  /// round's history pass hits (`prediction_cache.promotions`).
+  void promote(std::uint64_t version, ClassErrors errors);
+
+  /// Drops every entry whose version is below `oldest`.
+  void evict_below(std::uint64_t oldest);
 
   std::size_t size() const { return entries_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t promotions() const { return promotions_; }
 
-  /// Lookup-or-evaluate helper; counts hit/miss statistics (per cache
-  /// and aggregated into the global metrics registry).
-  template <typename EvalFn>
-  const ConfusionMatrix& get_or_eval(std::uint64_t version, EvalFn&& eval) {
-    if (const auto* found = find(version)) {
-      ++hits_;
-      MetricsRegistry::global().add_counter("prediction_cache.hits");
-      return *found;
-    }
-    ++misses_;
-    MetricsRegistry::global().add_counter("prediction_cache.misses");
-    insert(version, eval());
-    return *find(version);
-  }
-
  private:
-  std::size_t max_entries_;
-  // Ordered by version: eviction pops begin() — the smallest version —
-  // in O(1) instead of scanning for the minimum (versions are assigned
-  // monotonically by the server, so smallest == least recently useful).
-  std::map<std::uint64_t, ConfusionMatrix> entries_;
+  // Ordered by version, so evict_below erases one prefix.
+  std::map<std::uint64_t, ClassErrors> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t promotions_ = 0;

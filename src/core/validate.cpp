@@ -46,7 +46,6 @@ Validator::Validator(Validator&& other) noexcept
       cache_(std::move(other.cache_)),
       pending_(std::move(other.pending_)),
       prev_candidate_(std::move(other.prev_candidate_)),
-      preds_scratch_(std::move(other.preds_scratch_)),
       engine_(std::move(other.engine_)),
       batch_preds_(std::move(other.batch_preds_)),
       batch_models_(std::move(other.batch_models_)),
@@ -66,7 +65,6 @@ Validator& Validator::operator=(Validator&& other) noexcept
   cache_ = std::move(other.cache_);
   pending_ = std::move(other.pending_);
   prev_candidate_ = std::move(other.prev_candidate_);
-  preds_scratch_ = std::move(other.preds_scratch_);
   batch_preds_ = std::move(other.batch_preds_);
   batch_models_ = std::move(other.batch_models_);
   window_keys_ = std::move(other.window_keys_);
@@ -78,45 +76,21 @@ Validator& Validator::operator=(Validator&& other) noexcept
   return *this;
 }
 
-ConfusionMatrix Validator::confusion_from_preds(
-    std::span<const std::size_t> preds) const {
-  ConfusionMatrix cm(data_.num_classes());
-  const auto& labels = data_.labels();
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    cm.record(labels[i], static_cast<int>(preds[i]));
-  }
-  return cm;
-}
-
-ConfusionMatrix Validator::evaluate_params(const ParamVec& params) {
-  MetricsRegistry::global().add_counter("validator.model_materializations");
-  preds_scratch_.resize(data_.size());
-  engine_.predict_into(params, preds_scratch_);
-  return confusion_from_preds(preds_scratch_);
-}
-
-const ConfusionMatrix& Validator::evaluate_history(
-    const HistoryRef& snapshot) {
-  return cache_.get_or_eval(snapshot.version, [&] {
-    return evaluate_params(*snapshot.params);
-  });
-}
-
 void Validator::stash_pending(const ParamVec& candidate,
-                              const ConfusionMatrix& cm) {
+                              const ClassErrors& errors) {
   if (!config_.incremental) return;
-  pending_.emplace(PendingCandidate{candidate, cm});
+  pending_.emplace(PendingCandidate{candidate, errors});
 }
 
 void Validator::notify_commit(std::uint64_t version,
                               const ParamVec& committed) {
   MutexLock lock(mu_);
   // Promotion must be exact: only when the committed parameters are
-  // bit-equal to the candidate scored last is its confusion matrix
-  // valid under the new version (deterministic inference ⇒ identical
-  // predictions ⇒ identical matrix).
+  // bit-equal to the candidate scored last is its record valid under
+  // the new version (deterministic inference ⇒ identical predictions ⇒
+  // identical counts).
   if (pending_ && pending_->params == committed) {
-    cache_.promote(version, std::move(pending_->cm));
+    cache_.promote(version, std::move(pending_->errors));
     MetricsRegistry::global().add_counter("validator.candidate_reuse");
   }
   pending_.reset();
@@ -124,7 +98,7 @@ void Validator::notify_commit(std::uint64_t version,
 
 void Validator::notify_reject() {
   MutexLock lock(mu_);
-  // The pending confusion matrix is no longer promotable, but it is
+  // The pending record is no longer promotable, but it is
   // still the exact evaluation of those parameters: keep it as the
   // repeat-candidate memo for a replayed submission.
   if (pending_) prev_candidate_ = std::move(pending_);
@@ -165,6 +139,8 @@ ValidationOutcome Validator::validate(const ParamVec& candidate,
 
 ValidationOutcome Validator::validate_refs(
     const ParamVec& candidate, std::span<const HistoryRef> history) {
+  BAFFLE_CHECK(history.size() <= config_.lookback + 1,
+               "validate() takes at most the last l+1 accepted models");
   // Runtime enforcement of the external-serialization contract on the
   // unguarded engine-phase state: a second validate() overlapping this
   // one would share batch_preds_/batch_models_, which no lock protects
@@ -189,14 +165,14 @@ ValidationOutcome Validator::validate_refs(
 
   // Phase 2 (UNLOCKED): the only expensive step — one batched engine
   // pass, free to fan out across the pool without holding mu_.
-  std::vector<ConfusionMatrix> missed_cms;
-  run_plan(candidate, history, plan, missed_cms);
+  std::vector<ClassErrors> missed;
+  run_plan(candidate, history, plan, missed);
 
   // Phase 3 (locked): deposit and score against a fully-cached window.
   MutexLock lock(mu_);
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
     cache_.insert_missed(history[plan.missed[i]].version,
-                         std::move(missed_cms[i]));
+                         std::move(missed[i]));
   }
   return score_round(candidate, history, plan);
 }
@@ -209,9 +185,12 @@ Validator::EvalPlan Validator::plan_round(
   if (pending_) prev_candidate_ = std::move(pending_);
   pending_.reset();
 
+  // Nothing below the window can be read again (prediction_cache.hpp).
+  if (!history.empty()) cache_.evict_below(history.front().version);
+
   EvalPlan plan;
   // A lone history model yields no variation points, so nothing reads
-  // its confusion matrix this round — don't evaluate it (matches the
+  // its record this round — don't evaluate it (matches the
   // sequential implementation's laziness and its counter trail).
   if (history.size() >= 2) {
     plan.missed.reserve(history.size());
@@ -231,35 +210,34 @@ Validator::EvalPlan Validator::plan_round(
 
   // Repeat submissions (an adaptive attacker's self-check loop, or a
   // round replayed after a rejection) re-validate bit-identical
-  // parameters; deterministic inference makes the previous confusion
-  // matrix exact, so the forward pass is skipped entirely.
+  // parameters; deterministic inference makes the previous record
+  // exact, so the forward pass is skipped entirely.
   if (plan.eval_candidate && prev_candidate_ &&
       prev_candidate_->params == candidate) {
     MetricsRegistry::global().add_counter("validator.candidate_cm_reuse");
-    plan.candidate_cm = prev_candidate_->cm;
+    plan.candidate_errors = prev_candidate_->errors;
   }
   return plan;
 }
 
 void Validator::run_plan(const ParamVec& candidate,
                          std::span<const HistoryRef> history, EvalPlan& plan,
-                         std::vector<ConfusionMatrix>& missed_cms) {
-  const bool need_candidate = plan.eval_candidate && !plan.candidate_cm;
+                         std::vector<ClassErrors>& missed) {
+  const bool need_candidate = plan.eval_candidate && !plan.candidate_errors;
   const std::size_t evals = plan.missed.size() + (need_candidate ? 1 : 0);
   if (evals == 0) return;
   const std::size_t n = data_.size();
   batch_preds_.resize(evals * n);
   batch_models_.clear();
   batch_models_.reserve(evals);
+  const auto slot = [&](std::size_t i) {
+    return std::span<std::size_t>(batch_preds_).subspan(i * n, n);
+  };
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
-    batch_models_.push_back(
-        {*history[plan.missed[i]].params,
-         std::span<std::size_t>(batch_preds_).subspan(i * n, n)});
+    batch_models_.push_back({*history[plan.missed[i]].params, slot(i)});
   }
   if (need_candidate) {
-    batch_models_.push_back(
-        {candidate, std::span<std::size_t>(batch_preds_)
-                        .subspan(plan.missed.size() * n, n)});
+    batch_models_.push_back({candidate, slot(plan.missed.size())});
   }
   engine_.predict_many(batch_models_);
   MetricsRegistry::global().add_counter("validator.model_materializations",
@@ -272,16 +250,14 @@ void Validator::run_plan(const ParamVec& candidate,
     MetricsRegistry::global().add_counter("validator.batched_evals",
                                           plan.missed.size());
   }
-  missed_cms.reserve(plan.missed.size());
+  const auto tally = [&](std::size_t i) {
+    return tally_class_errors(data_.labels(), slot(i), data_.num_classes());
+  };
+  missed.reserve(plan.missed.size());
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
-    missed_cms.push_back(confusion_from_preds(
-        std::span<const std::size_t>(batch_preds_).subspan(i * n, n)));
+    missed.push_back(tally(i));
   }
-  if (need_candidate) {
-    plan.candidate_cm = confusion_from_preds(
-        std::span<const std::size_t>(batch_preds_)
-            .subspan(plan.missed.size() * n, n));
-  }
+  if (need_candidate) plan.candidate_errors = tally(plan.missed.size());
 }
 
 void Validator::sync_window(std::span<const HistoryRef> history) {
@@ -324,8 +300,8 @@ void Validator::sync_window(std::span<const HistoryRef> history) {
     if (old_index[i] != npos) {
       points[i] = std::move(window_points_[old_index[i]]);
     } else {
-      points[i] = error_variation(evaluate_history(history[i]),
-                                  evaluate_history(history[i + 1]));
+      points[i] = error_variation(cache_.lookup(history[i].version),
+                                  cache_.lookup(history[i + 1].version));
     }
   }
 
@@ -387,16 +363,16 @@ ValidationOutcome Validator::validate_lof_incremental(
   const std::size_t k = lof_k_for_lookback(ell);
   BAFFLE_DCHECK(k == (ell + 1) / 2, "Algorithm 2 fixes k = ceil(l/2)");
 
-  // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D); its confusion
-  // matrix was produced by the plan's engine pass (or the repeat memo).
-  BAFFLE_CHECK(plan.candidate_cm.has_value(),
+  // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D); its record was
+  // produced by the plan's engine pass (or the repeat memo).
+  BAFFLE_CHECK(plan.candidate_errors.has_value(),
                "scored round requires a planned candidate evaluation");
-  const ConfusionMatrix& candidate_cm = *plan.candidate_cm;
-  const VariationPoint candidate_point =
-      error_variation(evaluate_history(history.back()), candidate_cm);
+  const ClassErrors& candidate_errors = *plan.candidate_errors;
+  const VariationPoint candidate_point = error_variation(
+      cache_.lookup(history.back().version), candidate_errors);
   BAFFLE_DCHECK(candidate_point.size() == window_points_.front().size(),
                 "candidate and history variation points must share a dim");
-  stash_pending(candidate, candidate_cm);
+  stash_pending(candidate, candidate_errors);
 
   if (window_tau_count_ == 0) {
     outcome.abstained = true;
@@ -427,14 +403,15 @@ ValidationOutcome Validator::score_round(
 
   // Variation points between consecutive accepted models. A history of
   // m models yields m-1 points; with the full ℓ+1 window that is ℓ.
-  // The evaluate_history calls below are cache hits by construction:
-  // every miss was listed by plan_round and deposited before scoring.
+  // The lookups below are cache hits by construction: every miss was
+  // listed by plan_round and deposited before scoring.
   std::vector<VariationPoint> variations;
   if (history.size() >= 2) {
     variations.reserve(history.size() - 1);
     for (std::size_t i = 1; i < history.size(); ++i) {
-      variations.push_back(error_variation(evaluate_history(history[i - 1]),
-                                           evaluate_history(history[i])));
+      variations.push_back(error_variation(
+          cache_.lookup(history[i - 1].version),
+          cache_.lookup(history[i].version)));
     }
   }
 
@@ -443,9 +420,9 @@ ValidationOutcome Validator::score_round(
     outcome.vote = 0;
     return outcome;
   }
-  BAFFLE_CHECK(plan.candidate_cm.has_value(),
+  BAFFLE_CHECK(plan.candidate_errors.has_value(),
                "scored round requires a planned candidate evaluation");
-  const ConfusionMatrix& candidate_cm = *plan.candidate_cm;
+  const ClassErrors& candidate_errors = *plan.candidate_errors;
 
   if (config_.method == ValidationMethod::kGlobalAccuracyZScore) {
     // Ablation A1: ignore class structure entirely; look only at the
@@ -453,12 +430,13 @@ ValidationOutcome Validator::score_round(
     std::vector<double> deltas;
     deltas.reserve(history.size() - 1);
     for (std::size_t i = 1; i < history.size(); ++i) {
-      deltas.push_back(evaluate_history(history[i]).accuracy() -
-                       evaluate_history(history[i - 1]).accuracy());
+      deltas.push_back(cache_.lookup(history[i].version).accuracy() -
+                       cache_.lookup(history[i - 1].version).accuracy());
     }
     const double candidate_delta =
-        candidate_cm.accuracy() - evaluate_history(history.back()).accuracy();
-    stash_pending(candidate, candidate_cm);
+        candidate_errors.accuracy() -
+        cache_.lookup(history.back().version).accuracy();
+    stash_pending(candidate, candidate_errors);
     // An anomalous accuracy *drop* is the poisoning signal.
     outcome.phi = -guarded_zscore(candidate_delta, deltas);
     outcome.tau = config_.zscore_threshold;
@@ -475,9 +453,9 @@ ValidationOutcome Validator::score_round(
     for (const auto& v : variations) {
       norms.push_back(variation_distance(v, origin));
     }
-    const VariationPoint candidate_point =
-        error_variation(evaluate_history(history.back()), candidate_cm);
-    stash_pending(candidate, candidate_cm);
+    const VariationPoint candidate_point = error_variation(
+        cache_.lookup(history.back().version), candidate_errors);
+    stash_pending(candidate, candidate_errors);
     outcome.phi =
         guarded_zscore(variation_distance(candidate_point, origin), norms);
     outcome.tau = config_.zscore_threshold;
@@ -496,11 +474,11 @@ ValidationOutcome Validator::score_round(
                 "tau is calibrated on trusted points inside the window");
 
   // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D).
-  const VariationPoint candidate_point =
-      error_variation(evaluate_history(history.back()), candidate_cm);
+  const VariationPoint candidate_point = error_variation(
+      cache_.lookup(history.back().version), candidate_errors);
   BAFFLE_DCHECK(candidate_point.size() == variations.front().size(),
                 "candidate and history variation points must share a dim");
-  stash_pending(candidate, candidate_cm);
+  stash_pending(candidate, candidate_errors);
 
   // τ = mean LOF of the last ⌊ℓ/4⌋ trusted points. Each is scored
   // leave-one-out against the remaining ℓ−1 variations so its reference

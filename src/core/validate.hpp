@@ -19,22 +19,22 @@
 // The validator is incremental across rounds (DESIGN.md §12): variation
 // points are cached per (prev_version, next_version) pair, the pairwise
 // distance matrix behind the LOF tests shifts by one row/column per
-// round, and a committed candidate's confusion matrix is promoted into
-// the prediction cache (notify_commit) so it is never recomputed as
+// round, and a committed candidate's ClassErrors record is promoted
+// into the prediction cache (notify_commit) so it is never recomputed as
 // next round's history.back(). All of it is bit-identical to fresh
 // recomputation; `ValidatorConfig::incremental = false` selects the
 // recompute-everything path (benchmarks, parity tests).
 //
 // Lock scope (DESIGN.md §17): a validate() call runs in three phases —
-// plan (under mu_: shift the pending memo, list uncached history
-// versions, check the repeat-candidate memo), evaluate (OUTSIDE mu_:
-// one batched MultiModelEval pass over every uncached model plus the
-// candidate, fanned out across the pool), and score (under mu_ again:
-// deposit the confusion matrices, then LOF/τ/φ). The engine therefore
-// never waits on the thread pool while mu_ is held — a help-draining
-// waiter can steal ANOTHER validator's validate task, and two
-// validators stealing each other's work while holding their own locks
-// would deadlock.
+// plan (under mu_: shift the pending memo, evict below the window, list
+// uncached history versions, check the repeat-candidate memo), evaluate
+// (OUTSIDE mu_: one batched MultiModelEval pass over every uncached
+// model plus the candidate, fanned out across the pool), and score
+// (under mu_ again: deposit the records, then LOF/τ/φ). The engine
+// therefore never waits on the thread pool while mu_ is held — a
+// help-draining waiter can steal ANOTHER validator's validate task, and
+// two validators stealing each other's work while holding their own
+// locks would deadlock.
 
 #include <atomic>
 #include <cstdint>
@@ -113,9 +113,9 @@ class Validator {
   Validator(const Validator&) = delete;
   Validator& operator=(const Validator&) = delete;
 
-  /// Runs Algorithm 2. `history` is oldest→newest (up to ℓ+1 models,
-  /// from ModelHistory::window). Confusion matrices for history models
-  /// are cached across rounds by version.
+  /// Runs Algorithm 2. `history` is oldest→newest, at most ℓ+1 models
+  /// (ModelHistory::window; longer throws std::invalid_argument). History
+  /// models' records are cached by version until they leave the window.
   ValidationOutcome validate(const ParamVec& candidate,
                              std::span<const GlobalModel> history);
 
@@ -125,13 +125,13 @@ class Validator {
 
   /// Round feedback: the candidate last scored by validate() was
   /// committed as `version`. When its parameters match `committed`
-  /// bit-for-bit, the confusion matrix computed during validation is
-  /// promoted into the cache under `version` — next round's history
-  /// pass then hits instead of redoing the forward pass.
+  /// bit-for-bit, the record computed during validation is promoted
+  /// into the cache under `version` — next round's history pass then
+  /// hits instead of redoing the forward pass.
   void notify_commit(std::uint64_t version, const ParamVec& committed);
 
   /// Round feedback: the candidate was rejected (rolled back); its
-  /// pending confusion matrix is discarded.
+  /// pending record is discarded.
   void notify_reject();
 
   const Dataset& data() const { return data_; }
@@ -156,7 +156,7 @@ class Validator {
   /// commit/reject feedback.
   struct PendingCandidate {
     ParamVec params;
-    ConfusionMatrix cm;
+    ClassErrors errors;
   };
 
   /// What the round's single engine pass must evaluate, decided under
@@ -167,20 +167,20 @@ class Validator {
     /// Filled by the memo hit in phase 1 or by the engine in phase 2;
     /// empty only when the round will abstain before scoring the
     /// candidate (too little history — same predicate in plan & score).
-    std::optional<ConfusionMatrix> candidate_cm;
+    std::optional<ClassErrors> candidate_errors;
   };
 
   ValidationOutcome validate_refs(const ParamVec& candidate,
                                   std::span<const HistoryRef> history);
-  /// Phase 1 (locked): memo shift + repeat-candidate check + the list
-  /// of uncached history versions.
+  /// Phase 1 (locked): memo shift + eviction below the window +
+  /// repeat-candidate check + the list of uncached history versions.
   EvalPlan plan_round(const ParamVec& candidate,
                       std::span<const HistoryRef> history)
       BAFFLE_REQUIRES(mu_);
   /// Phase 2 (UNLOCKED): one batched predict_many over the plan.
   void run_plan(const ParamVec& candidate,
                 std::span<const HistoryRef> history, EvalPlan& plan,
-                std::vector<ConfusionMatrix>& missed_cms);
+                std::vector<ClassErrors>& missed);
   /// Phase 3 (locked): scoring on a fully-cached window.
   ValidationOutcome score_round(const ParamVec& candidate,
                                 std::span<const HistoryRef> history,
@@ -189,20 +189,7 @@ class Validator {
       const ParamVec& candidate, std::span<const HistoryRef> history,
       EvalPlan& plan) BAFFLE_REQUIRES(mu_);
   void sync_window(std::span<const HistoryRef> history) BAFFLE_REQUIRES(mu_);
-  void stash_pending(const ParamVec& candidate, const ConfusionMatrix& cm)
-      BAFFLE_REQUIRES(mu_);
-
-  /// Tallies a confusion matrix from per-sample predictions (sample
-  /// order identical to evaluate_confusion's).
-  ConfusionMatrix confusion_from_preds(
-      std::span<const std::size_t> preds) const;
-  /// One predict_into evaluation on the calling thread (counts a model
-  /// materialization). Under-lock fallback only — it must not wait on
-  /// the pool — and after plan/run deposits, only reachable through a
-  /// cache eviction race that the window size rules out in practice.
-  ConfusionMatrix evaluate_params(const ParamVec& params)
-      BAFFLE_REQUIRES(mu_);
-  const ConfusionMatrix& evaluate_history(const HistoryRef& snapshot)
+  void stash_pending(const ParamVec& candidate, const ClassErrors& errors)
       BAFFLE_REQUIRES(mu_);
 
   Dataset data_;
@@ -218,7 +205,6 @@ class Validator {
   std::optional<PendingCandidate> pending_ BAFFLE_GUARDED_BY(mu_);
   std::optional<PendingCandidate> prev_candidate_
       BAFFLE_GUARDED_BY(mu_);  // repeat-candidate memo
-  std::vector<std::size_t> preds_scratch_ BAFFLE_GUARDED_BY(mu_);
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind(), and the batch scratch below

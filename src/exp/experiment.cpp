@@ -10,6 +10,7 @@
 
 #include "attack/backdoor.hpp"
 #include "attack/dba.hpp"
+#include "metrics/confusion.hpp"
 #include "net/round_driver.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"

@@ -60,16 +60,22 @@ class BatchedValidate : public ::testing::Test {
     EXPECT_EQ(a.abstained, b.abstained);
   }
 
-  static void expect_same_cm(const ConfusionMatrix& a,
-                             const ConfusionMatrix& b) {
-    ASSERT_EQ(a.num_classes(), b.num_classes());
-    ASSERT_EQ(a.total(), b.total());
-    for (std::size_t t = 0; t < a.num_classes(); ++t) {
-      for (std::size_t p = 0; p < a.num_classes(); ++p) {
-        ASSERT_EQ(a.count(static_cast<int>(t), static_cast<int>(p)),
-                  b.count(static_cast<int>(t), static_cast<int>(p)))
-            << "cm[" << t << "][" << p << "]";
+  /// The cached record must hold exactly the off-diagonal row and
+  /// column sums of an independently evaluated confusion matrix.
+  static void expect_record_of(const ConfusionMatrix& cm,
+                               const ClassErrors& errors) {
+    const std::size_t classes = cm.num_classes();
+    ASSERT_EQ(errors.num_classes(), classes);
+    ASSERT_EQ(errors.total, cm.total());
+    for (std::size_t y = 0; y < classes; ++y) {
+      std::size_t source = 0, target = 0;
+      for (std::size_t o = 0; o < classes; ++o) {
+        if (o == y) continue;
+        source += cm.count(static_cast<int>(y), static_cast<int>(o));
+        target += cm.count(static_cast<int>(o), static_cast<int>(y));
       }
+      ASSERT_EQ(errors.source_misses[y], source) << "class " << y;
+      ASSERT_EQ(errors.target_false[y], target) << "class " << y;
     }
   }
 
@@ -81,8 +87,8 @@ class BatchedValidate : public ::testing::Test {
 
 TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
   // The warm validator sees the window grow one model per round, so its
-  // prefetch never finds ≥2 uncached models and every evaluation takes
-  // the sequential get_or_eval path. The cold validator receives the
+  // prefetch never finds ≥2 uncached models and evaluates one model at
+  // a time. The cold validator receives the
   // full window at once and batches it. Same inputs, same bits out.
   for (std::size_t ell : {std::size_t{2}, std::size_t{10}, std::size_t{40}}) {
     SCOPED_TRACE(ell);
@@ -124,8 +130,8 @@ TEST_F(BatchedValidate, ColdWindowBatchedMatchesWarmSequential) {
 }
 
 TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
-  // Every confusion matrix the batched prefetch deposited must equal a
-  // plain per-model evaluate_confusion on the same dataset.
+  // Every record the batched prefetch deposited must equal the counts
+  // of a plain per-model evaluate_confusion on the same dataset.
   const std::size_t ell = 10;
   Validator v = make_validator(ell);
   std::vector<GlobalModel> history;
@@ -141,17 +147,17 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   Mlp model(arch_);
   MlpEvalWorkspace ws;
   for (const auto& entry : history) {
-    const ConfusionMatrix* cached = v.cache().find(entry.version);
+    const ClassErrors* cached = v.cache().find(entry.version);
     ASSERT_NE(cached, nullptr) << "version " << entry.version;
     model.set_parameters(entry.params);
-    expect_same_cm(evaluate_confusion(model, data_, ws), *cached);
+    expect_record_of(evaluate_confusion(model, data_, ws), *cached);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST_F(BatchedValidate, RepeatCandidateShortCircuitsMaterialization) {
   // The adaptive attacker's self-check re-validates the same candidate;
-  // a bit-equal repeat must reuse the previous confusion matrix instead
+  // a bit-equal repeat must reuse the previous record instead
   // of re-running inference — with identical outcomes.
   const std::size_t ell = 8;
   Validator v = make_validator(ell);
@@ -187,7 +193,7 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   // Thread placement must never reach a vote (DESIGN.md §17): the same
   // rounds validated on pinned pools of 1 (the serial reference), 2, 3
   // and 4 workers must give bit-identical votes, φ, τ, abstentions and
-  // cached confusion matrices. The forced-scalar CI leg covers the
+  // cached records. The forced-scalar CI leg covers the
   // other dispatch arm.
   const std::size_t ell = 10;
   const std::size_t pool_sizes[] = {1, 2, 3, 4};
@@ -230,11 +236,12 @@ TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   for (std::size_t i = 1; i < validators.size(); ++i) {
     SCOPED_TRACE(pool_sizes[i]);
     for (const auto& entry : window) {
-      const ConfusionMatrix* a = ser.cache().find(entry.version);
-      const ConfusionMatrix* b = validators[i].cache().find(entry.version);
+      const ClassErrors* a = ser.cache().find(entry.version);
+      const ClassErrors* b = validators[i].cache().find(entry.version);
       EXPECT_EQ(a == nullptr, b == nullptr) << "version " << entry.version;
-      if (a != nullptr && b != nullptr) expect_same_cm(*a, *b);
-      if (::testing::Test::HasFatalFailure()) return;
+      if (a != nullptr && b != nullptr) {
+        EXPECT_EQ(*a, *b);
+      }
     }
   }
 }

@@ -18,8 +18,8 @@ namespace baffle {
 namespace {
 
 /// Cheap non-degenerate model chain: random-walk parameter vectors.
-/// Parity does not need trained models, only distinct confusion
-/// matrices per version.
+/// Parity does not need trained models, only distinct per-class
+/// errors per version.
 class ParityFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -119,18 +119,29 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   // round against the same window; only the last one may be promoted.
   Validator incremental = make_validator(true);
   Validator fresh = make_validator(false);
+  const std::size_t lookback = 8;
 
-  std::vector<GlobalModel> history;
+  std::deque<GlobalModel> history;
   Rng rng(55);
-  for (std::uint64_t v = 0; v <= 8; ++v) {
+  for (std::uint64_t v = 0; v <= lookback; ++v) {
     history.push_back({v, params_});
     params_ = next_params(rng);
   }
+  // Both validators see the same ℓ+1-model window, slid forward on
+  // each commit like ModelHistory::window.
+  const auto validate_both = [&](const ParamVec& candidate) {
+    const std::vector<GlobalModel> window(history.begin(), history.end());
+    expect_same(incremental.validate(candidate, window),
+                fresh.validate(candidate, window));
+  };
+  const auto commit = [&](std::uint64_t version, const ParamVec& params) {
+    history.push_back({version, params});
+    history.pop_front();
+  };
   ParamVec last;
   for (int trial = 0; trial < 5; ++trial) {
     last = next_params(rng, 0.01f * static_cast<float>(trial + 1));
-    expect_same(incremental.validate(last, history),
-                fresh.validate(last, history));
+    validate_both(last);
   }
   // Committing a model that is NOT the last validated candidate must
   // not promote (parameters differ bit-wise from the pending ones).
@@ -138,18 +149,16 @@ TEST_F(ParityFixture, RepeatedValidationsSameRoundBitIdentical) {
   incremental.notify_commit(9, other);
   EXPECT_EQ(incremental.cache().promotions(), 0u);
 
-  history.push_back({9, other});
-  expect_same(incremental.validate(last, history),
-              fresh.validate(last, history));
+  commit(9, other);
+  validate_both(last);
 
   // Committing exactly the last validated candidate does promote.
   incremental.notify_commit(10, last);
   EXPECT_EQ(incremental.cache().promotions(), 1u);
-  history.push_back({10, last});
+  commit(10, last);
   const ParamVec candidate = next_params(rng);
   const auto misses_before = incremental.cache().misses();
-  expect_same(incremental.validate(candidate, history),
-              fresh.validate(candidate, history));
+  validate_both(candidate);
   // The promoted version was needed as history.back() and hit.
   EXPECT_EQ(incremental.cache().misses(), misses_before);
 }

@@ -2,135 +2,115 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace baffle {
 namespace {
 
-ConfusionMatrix cm_with(int t, int p) {
-  ConfusionMatrix cm(3);
-  cm.record(t, p);
-  return cm;
+/// Record of one sample of class `t` predicted as `p` (3 classes).
+ClassErrors errors_with(int t, std::size_t p) {
+  const std::vector<int> labels{t};
+  const std::vector<std::size_t> preds{p};
+  return tally_class_errors(labels, preds, 3);
 }
 
 TEST(PredictionCache, MissThenHit) {
   PredictionCache cache;
-  int evals = 0;
-  const auto eval = [&] {
-    ++evals;
-    return cm_with(0, 0);
-  };
-  cache.get_or_eval(7, eval);
-  cache.get_or_eval(7, eval);
-  EXPECT_EQ(evals, 1);
+  EXPECT_EQ(cache.find(7), nullptr);
+  cache.insert_missed(7, errors_with(0, 0));
+  cache.lookup(7);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(PredictionCache, DistinctVersionsEvaluatedSeparately) {
   PredictionCache cache;
-  int evals = 0;
-  for (std::uint64_t v : {1u, 2u, 3u}) {
-    cache.get_or_eval(v, [&] {
-      ++evals;
-      return cm_with(0, 0);
-    });
-  }
-  EXPECT_EQ(evals, 3);
+  for (std::uint64_t v : {1u, 2u, 3u}) cache.insert_missed(v, errors_with(0, 0));
+  EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(PredictionCache, FindReturnsStoredMatrix) {
   PredictionCache cache;
-  cache.insert(5, cm_with(1, 2));
-  const ConfusionMatrix* found = cache.find(5);
+  cache.insert_missed(5, errors_with(1, 2));
+  const ClassErrors* found = cache.find(5);
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->count(1, 2), 1u);
+  EXPECT_EQ(*found, errors_with(1, 2));
+  EXPECT_EQ(found->source_misses[1], 1u);
+  EXPECT_EQ(found->target_false[2], 1u);
   EXPECT_EQ(cache.find(6), nullptr);
-}
-
-TEST(PredictionCache, EvictsSmallestVersionWhenFull) {
-  PredictionCache cache(3);
-  cache.insert(10, cm_with(0, 0));
-  cache.insert(11, cm_with(0, 0));
-  cache.insert(12, cm_with(0, 0));
-  cache.insert(13, cm_with(0, 0));  // evicts 10
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.find(10), nullptr);
-  EXPECT_NE(cache.find(13), nullptr);
-}
-
-TEST(PredictionCache, EvictedVersionCountsAsMissAgain) {
-  PredictionCache cache(2);
-  int evals = 0;
-  const auto eval = [&] {
-    ++evals;
-    return cm_with(0, 0);
-  };
-  cache.get_or_eval(1, eval);
-  cache.get_or_eval(2, eval);
-  cache.get_or_eval(3, eval);  // evicts version 1
-  EXPECT_EQ(cache.find(1), nullptr);
-  cache.get_or_eval(1, eval);  // must re-evaluate
-  EXPECT_EQ(evals, 4);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 4u);
-  cache.get_or_eval(1, eval);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(PredictionCache, CapacityOneKeepsOnlyNewest) {
-  PredictionCache cache(1);
-  cache.insert(5, cm_with(0, 0));
-  cache.insert(6, cm_with(1, 1));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(5), nullptr);
-  ASSERT_NE(cache.find(6), nullptr);
-  EXPECT_EQ(cache.find(6)->count(1, 1), 1u);
+  EXPECT_EQ(cache.hits(), 0u);  // find counts nothing
 }
 
 TEST(PredictionCache, InsertOverwritesSameVersion) {
   PredictionCache cache;
-  cache.insert(1, cm_with(0, 0));
-  cache.insert(1, cm_with(2, 2));
+  cache.insert_missed(1, errors_with(0, 0));
+  cache.insert_missed(1, errors_with(2, 1));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(1)->count(2, 2), 1u);
+  EXPECT_EQ(*cache.find(1), errors_with(2, 1));
 }
 
 TEST(PredictionCache, PromoteBindsMatrixAndCounts) {
   PredictionCache cache;
-  cache.promote(4, cm_with(1, 1));
+  cache.promote(4, errors_with(1, 0));
   EXPECT_EQ(cache.promotions(), 1u);
   ASSERT_NE(cache.find(4), nullptr);
-  EXPECT_EQ(cache.find(4)->count(1, 1), 1u);
-  // A promoted entry is a plain cache entry afterwards: get_or_eval
-  // hits it without re-evaluating.
-  int evals = 0;
-  cache.get_or_eval(4, [&] {
-    ++evals;
-    return cm_with(0, 0);
-  });
-  EXPECT_EQ(evals, 0);
+  EXPECT_EQ(*cache.find(4), errors_with(1, 0));
+  // A promoted entry is a plain cache entry afterwards: a lookup hits
+  // it, and no miss was counted.
+  EXPECT_EQ(cache.lookup(4), errors_with(1, 0));
   EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 0u);
 }
 
-TEST(PredictionCache, PromoteEvictsLikeInsertWhenFull) {
-  PredictionCache cache(2);
-  cache.insert(1, cm_with(0, 0));
-  cache.insert(2, cm_with(0, 0));
-  cache.promote(3, cm_with(2, 2));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(1), nullptr);  // smallest version evicted
-  ASSERT_NE(cache.find(3), nullptr);
-  EXPECT_EQ(cache.find(3)->count(2, 2), 1u);
+TEST(PredictionCache, LookupOfAbsentVersionThrows) {
+  PredictionCache cache;
+  cache.insert_missed(2, errors_with(0, 0));
+  EXPECT_THROW(cache.lookup(3), std::invalid_argument);
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
-TEST(PredictionCache, OverwriteAtCapacityDoesNotEvict) {
-  PredictionCache cache(2);
-  cache.insert(1, cm_with(0, 0));
-  cache.insert(2, cm_with(0, 0));
-  cache.insert(2, cm_with(2, 2));  // overwrite, not a new entry
+TEST(PredictionCache, EvictBelowKeepsTheBoundaryVersion) {
+  PredictionCache cache;
+  for (std::uint64_t v : {3u, 4u, 5u}) cache.insert_missed(v, errors_with(0, 0));
+  cache.evict_below(4);
   EXPECT_EQ(cache.size(), 2u);
-  ASSERT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.find(2)->count(2, 2), 1u);
+  EXPECT_NE(cache.find(4), nullptr);
+  EXPECT_NE(cache.find(5), nullptr);
+  cache.evict_below(4);  // idempotent
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(PredictionCache, EvictBelowDropsEveryOlderVersion) {
+  PredictionCache cache;
+  for (std::uint64_t v = 10; v < 20; ++v) {
+    cache.insert_missed(v, errors_with(0, 0));
+  }
+  cache.promote(20, errors_with(1, 1));
+  cache.evict_below(17);
+  EXPECT_EQ(cache.size(), 4u);
+  for (std::uint64_t v = 10; v < 17; ++v) EXPECT_EQ(cache.find(v), nullptr);
+  ASSERT_NE(cache.find(20), nullptr);  // promoted entries are kept too
+  // Eviction is not traffic: the counters are untouched.
+  EXPECT_EQ(cache.misses(), 10u);
+  EXPECT_EQ(cache.promotions(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  cache.evict_below(21);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PredictionCache, EvictedVersionCountsAsMissAgain) {
+  PredictionCache cache;
+  cache.insert_missed(1, errors_with(0, 0));
+  cache.insert_missed(2, errors_with(0, 0));
+  cache.evict_below(2);
+  EXPECT_EQ(cache.find(1), nullptr);
+  EXPECT_THROW(cache.lookup(1), std::invalid_argument);
+  // A re-request of an evicted version is evaluated and deposited again.
+  cache.insert_missed(1, errors_with(0, 0));
+  EXPECT_EQ(cache.misses(), 3u);
+  cache.lookup(1);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 }  // namespace

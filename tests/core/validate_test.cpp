@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "data/backdoor_data.hpp"
 #include "data/synth.hpp"
 #include "nn/train.hpp"
@@ -168,6 +170,56 @@ TEST_F(ValidatorFixture, CachesHistoryEvaluations) {
   // Second validation over the same history: everything cached.
   EXPECT_EQ(v.cache().misses(), misses_first);
   EXPECT_GT(v.cache().hits(), 0u);
+}
+
+TEST_F(ValidatorFixture, RejectsWindowLongerThanLookbackPlusOne) {
+  // Scoring ℓ+2 models would silently run LOF with a larger ℓ (other k
+  // and τ); the window contract is checked in every build.
+  const std::size_t ell = 10;
+  Validator v = make_validator(200, ell);
+  const std::vector<GlobalModel> too_long(
+      history_->end() - static_cast<std::ptrdiff_t>(ell + 2),
+      history_->end());
+  EXPECT_THROW(v.validate(genuine_next(), too_long), std::invalid_argument);
+  // The rejected call left the validator usable.
+  const std::vector<GlobalModel> window(too_long.begin() + 1,
+                                        too_long.end());
+  EXPECT_FALSE(v.validate(genuine_next(), window).abstained);
+}
+
+TEST_F(ValidatorFixture, CacheHoldsAtMostWindowPlusPromotion) {
+  // Eviction follows the window: after every round, committed or rolled
+  // back, a validator holds at most the ℓ+1 window models plus the
+  // promoted candidate.
+  const std::size_t ell = 6;
+  Validator v = make_validator(200, ell);
+  std::deque<GlobalModel> window(history_->begin(),
+                                 history_->begin() + ell + 1);
+  std::uint64_t version = window.back().version;
+  Rng rng(12);
+  std::size_t rejects = 0;
+  std::size_t peak = 0;
+  for (std::size_t round = 0; round < 4 * ell; ++round) {
+    SCOPED_TRACE(round);
+    ParamVec candidate = window.back().params;
+    for (float& p : candidate) p += static_cast<float>(rng.normal(0.0, 0.01));
+    const std::vector<GlobalModel> history(window.begin(), window.end());
+    v.validate(candidate, history);
+    if (round % 3 == 2) {
+      v.notify_reject();
+      ++rejects;
+    } else {
+      ++version;
+      v.notify_commit(version, candidate);
+      window.push_back({version, candidate});
+      window.pop_front();
+    }
+    EXPECT_LE(v.cache().size(), ell + 2);
+    peak = std::max(peak, v.cache().size());
+  }
+  EXPECT_GT(rejects, 0u);
+  EXPECT_EQ(peak, ell + 2);  // the bound is reached, not just respected
+  EXPECT_GT(v.cache().promotions(), 2 * ell);
 }
 
 TEST_F(ValidatorFixture, IdenticalCandidateToLatestIsNotFlagged) {
