@@ -3,7 +3,9 @@
 // over the paper's look-back sizes ℓ (DESIGN.md §14, §17).
 //
 // Arms:
-//   sequential   per-model Mlp::predict_into (the pre-engine path);
+//   sequential   per-model training forward (Mlp::forward_train over the
+//                whole holdout) plus a first-max argmax per row — the
+//                reference the engine is bit-identical to;
 //   fp32         MultiModelEval::predict_many on a pinned 1-worker pool
 //                (GlobalPoolPin), which runs the tile loop inline — one
 //                shared packed input, fused layer-1 GEMMs per model
@@ -76,6 +78,15 @@ BenchSetup make_setup(bool smoke) {
 
 using PredTable = std::vector<std::vector<std::size_t>>;  // model × sample
 
+// First maximum of each logit row (std::max_element's tie-break).
+void argmax_rows(const Matrix& logits, std::vector<std::size_t>& out) {
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    const auto row = logits.row(r);
+    out[r] = static_cast<std::size_t>(
+        std::max_element(row.begin(), row.end()) - row.begin());
+  }
+}
+
 // Takes a copy: the per-repetition series must stay in repetition order
 // so the speedup ratios below pair samples from the same repetition.
 double median(std::vector<double> v) {
@@ -112,7 +123,7 @@ struct SweepRow {
 void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
              PredTable& fp32, PredTable& fp32p, SweepRow& row) {
   Mlp model(s.arch);
-  MlpEvalWorkspace seq_ws;
+  TrainWorkspace seq_ws;
   MultiModelEval engine(s.arch);
   engine.bind(s.holdout.features());
   ThreadPool one_worker(1);
@@ -145,7 +156,9 @@ void run_row(const BenchSetup& s, std::size_t models, PredTable& seq,
     for (std::size_t it = 0; it < iters; ++it) {
       for (std::size_t v = 0; v < models; ++v) {
         model.set_parameters(s.chain[v]);
-        model.predict_into(s.holdout.features(), seq[v], seq_ws);
+        const Matrix& logits =
+            model.forward_train(s.holdout.features(), seq_ws);
+        argmax_rows(logits, seq[v]);
       }
     }
     const double d_seq = lap(t);

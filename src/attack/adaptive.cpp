@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "nn/multi_eval.hpp"
 #include "tensor/ops.hpp"
 
 namespace baffle {
@@ -33,7 +34,9 @@ std::optional<AdaptiveUpdate> craft_adaptive_update(
   // teach the adversarial sub-task.
   Dataset clean_view = attacker_clean;
   if (config.clone_global_behavior && !attacker_clean.empty()) {
-    const auto preds = global.predict(attacker_clean.features());
+    MlpEvalWorkspace eval_ws;
+    const auto preds =
+        predict_once(global, attacker_clean.features(), eval_ws);
     Dataset cloned(attacker_clean.dim(), attacker_clean.num_classes());
     for (std::size_t i = 0; i < attacker_clean.size(); ++i) {
       Example ex = attacker_clean[i];

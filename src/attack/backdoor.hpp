@@ -2,7 +2,7 @@
 // Attacker-side success metric.
 
 #include "data/backdoor_data.hpp"
-#include "nn/mlp.hpp"
+#include "nn/multi_eval.hpp"
 
 namespace baffle {
 
@@ -13,9 +13,15 @@ namespace baffle {
 double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class);
 
-/// Zero-copy variant: inference streams through `ws` (allocation-free
-/// once warm) — used by the per-round accuracy tracking path.
+/// As above, with the parameter and prediction scratch in `ws`.
 double backdoor_accuracy(const Mlp& model, const Dataset& backdoor_test,
                          int target_class, MlpEvalWorkspace& ws);
+
+/// Backdoor accuracy from `predictions` already made on the rows of
+/// `backdoor_test`; the argument checks of backdoor_accuracy, plus one
+/// prediction per row.
+double backdoor_accuracy_of(const Dataset& backdoor_test,
+                            std::span<const std::size_t> predictions,
+                            int target_class);
 
 }  // namespace baffle

@@ -45,7 +45,6 @@ Validator::Validator(Validator&& other) noexcept
       config_(other.config_),
       cache_(std::move(other.cache_)),
       pending_(std::move(other.pending_)),
-      prev_candidate_(std::move(other.prev_candidate_)),
       engine_(std::move(other.engine_)),
       batch_preds_(std::move(other.batch_preds_)),
       batch_models_(std::move(other.batch_models_)),
@@ -64,7 +63,6 @@ Validator& Validator::operator=(Validator&& other) noexcept
   engine_ = std::move(other.engine_);
   cache_ = std::move(other.cache_);
   pending_ = std::move(other.pending_);
-  prev_candidate_ = std::move(other.prev_candidate_);
   batch_preds_ = std::move(other.batch_preds_);
   batch_models_ = std::move(other.batch_models_);
   window_keys_ = std::move(other.window_keys_);
@@ -98,11 +96,7 @@ void Validator::notify_commit(std::uint64_t version,
 
 void Validator::notify_reject() {
   MutexLock lock(mu_);
-  // The pending record is no longer promotable, but it is
-  // still the exact evaluation of those parameters: keep it as the
-  // repeat-candidate memo for a replayed submission.
-  if (pending_) prev_candidate_ = std::move(pending_);
-  pending_.reset();
+  pending_.reset();  // a rejected candidate is never promoted
 }
 
 namespace {
@@ -160,7 +154,7 @@ ValidationOutcome Validator::validate_refs(
   EvalPlan plan;
   {
     MutexLock lock(mu_);
-    plan = plan_round(candidate, history);
+    plan = plan_round(history);
   }
 
   // Phase 2 (UNLOCKED): the only expensive step — one batched engine
@@ -178,11 +172,10 @@ ValidationOutcome Validator::validate_refs(
 }
 
 Validator::EvalPlan Validator::plan_round(
-    const ParamVec& candidate, std::span<const HistoryRef> history) {
-  // A new round supersedes the previous candidate: whatever was pending
-  // becomes the repeat-candidate memo (the commit/reject notification
-  // evidently never arrived — e.g. pure-evaluation callers).
-  if (pending_) prev_candidate_ = std::move(pending_);
+    std::span<const HistoryRef> history) {
+  // A new round supersedes the previous candidate (the commit/reject
+  // notification evidently never arrived — e.g. pure-evaluation
+  // callers).
   pending_.reset();
 
   // Nothing below the window can be read again (prediction_cache.hpp).
@@ -207,24 +200,13 @@ Validator::EvalPlan Validator::plan_round(
   // the sequential implementation skipped it.
   const std::size_t variations = history.size() < 2 ? 0 : history.size() - 1;
   plan.eval_candidate = variations >= config_.min_variations;
-
-  // Repeat submissions (an adaptive attacker's self-check loop, or a
-  // round replayed after a rejection) re-validate bit-identical
-  // parameters; deterministic inference makes the previous record
-  // exact, so the forward pass is skipped entirely.
-  if (plan.eval_candidate && prev_candidate_ &&
-      prev_candidate_->params == candidate) {
-    MetricsRegistry::global().add_counter("validator.candidate_cm_reuse");
-    plan.candidate_errors = prev_candidate_->errors;
-  }
   return plan;
 }
 
 void Validator::run_plan(const ParamVec& candidate,
                          std::span<const HistoryRef> history, EvalPlan& plan,
                          std::vector<ClassErrors>& missed) {
-  const bool need_candidate = plan.eval_candidate && !plan.candidate_errors;
-  const std::size_t evals = plan.missed.size() + (need_candidate ? 1 : 0);
+  const std::size_t evals = plan.missed.size() + (plan.eval_candidate ? 1 : 0);
   if (evals == 0) return;
   const std::size_t n = data_.size();
   batch_preds_.resize(evals * n);
@@ -236,7 +218,7 @@ void Validator::run_plan(const ParamVec& candidate,
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
     batch_models_.push_back({*history[plan.missed[i]].params, slot(i)});
   }
-  if (need_candidate) {
+  if (plan.eval_candidate) {
     batch_models_.push_back({candidate, slot(plan.missed.size())});
   }
   engine_.predict_many(batch_models_);
@@ -257,7 +239,7 @@ void Validator::run_plan(const ParamVec& candidate,
   for (std::size_t i = 0; i < plan.missed.size(); ++i) {
     missed.push_back(tally(i));
   }
-  if (need_candidate) plan.candidate_errors = tally(plan.missed.size());
+  if (plan.eval_candidate) plan.candidate_errors = tally(plan.missed.size());
 }
 
 void Validator::sync_window(std::span<const HistoryRef> history) {
@@ -364,7 +346,7 @@ ValidationOutcome Validator::validate_lof_incremental(
   BAFFLE_DCHECK(k == (ell + 1) / 2, "Algorithm 2 fixes k = ceil(l/2)");
 
   // Candidate's variation point v_{ℓ+1} = v(𝒢^ℓ, G, D); its record was
-  // produced by the plan's engine pass (or the repeat memo).
+  // produced by the plan's engine pass.
   BAFFLE_CHECK(plan.candidate_errors.has_value(),
                "scored round requires a planned candidate evaluation");
   const ClassErrors& candidate_errors = *plan.candidate_errors;

@@ -26,8 +26,8 @@
 // recompute-everything path (benchmarks, parity tests).
 //
 // Lock scope (DESIGN.md §17): a validate() call runs in three phases —
-// plan (under mu_: shift the pending memo, evict below the window, list
-// uncached history versions, check the repeat-candidate memo), evaluate
+// plan (under mu_: drop a stale pending record, evict below the window,
+// list uncached history versions), evaluate
 // (OUTSIDE mu_: one batched MultiModelEval pass over every uncached
 // model plus the candidate, fanned out across the pool), and score
 // (under mu_ again: deposit the records, then LOF/τ/φ). The engine
@@ -164,18 +164,17 @@ class Validator {
   struct EvalPlan {
     std::vector<std::size_t> missed;  // indices into the history span
     bool eval_candidate = false;
-    /// Filled by the memo hit in phase 1 or by the engine in phase 2;
-    /// empty only when the round will abstain before scoring the
-    /// candidate (too little history — same predicate in plan & score).
+    /// Filled by the engine in phase 2; empty only when the round will
+    /// abstain before scoring the candidate (too little history — same
+    /// predicate in plan & score).
     std::optional<ClassErrors> candidate_errors;
   };
 
   ValidationOutcome validate_refs(const ParamVec& candidate,
                                   std::span<const HistoryRef> history);
-  /// Phase 1 (locked): memo shift + eviction below the window +
-  /// repeat-candidate check + the list of uncached history versions.
-  EvalPlan plan_round(const ParamVec& candidate,
-                      std::span<const HistoryRef> history)
+  /// Phase 1 (locked): stale pending record dropped + eviction below
+  /// the window + the list of uncached history versions.
+  EvalPlan plan_round(std::span<const HistoryRef> history)
       BAFFLE_REQUIRES(mu_);
   /// Phase 2 (UNLOCKED): one batched predict_many over the plan.
   void run_plan(const ParamVec& candidate,
@@ -196,15 +195,13 @@ class Validator {
   ValidatorConfig config_;
 
   // One lock serializes a validator's incremental state: the prediction
-  // cache, the pending/repeat-candidate memos and the incremental LOF
+  // cache, the pending candidate record and the incremental LOF
   // window mutate together, and the commit/reject feedback must be
   // ordered against scoring. The ENGINE deliberately runs outside it
   // (see header comment): mu_ is never held across a pool wait.
   mutable Mutex mu_;
   PredictionCache cache_ BAFFLE_GUARDED_BY(mu_);
   std::optional<PendingCandidate> pending_ BAFFLE_GUARDED_BY(mu_);
-  std::optional<PendingCandidate> prev_candidate_
-      BAFFLE_GUARDED_BY(mu_);  // repeat-candidate memo
 
   // Engine-phase state, deliberately NOT guarded by mu_. The engine is
   // immutable after its setup-time bind(), and the batch scratch below

@@ -130,6 +130,45 @@ void ensure_member(std::vector<std::size_t>& ids, std::size_t member,
   ids[slot] = member;
 }
 
+/// Per-round accuracy tracking: the test and backdoor test sets are
+/// bound to one engine each for the whole experiment, and every round
+/// scores its committed parameters against them directly. One probe
+/// serves one caller at a time (the eval nodes are chained).
+class AccuracyProbe {
+ public:
+  AccuracyProbe(const MlpConfig& arch, const Dataset& test,
+                const Dataset& backdoor_test, int target_class)
+      : test_(test),
+        backdoor_test_(backdoor_test),
+        target_class_(target_class),
+        test_engine_(arch),
+        backdoor_engine_(arch),
+        test_preds_(test.size()),
+        backdoor_preds_(backdoor_test.size()) {
+    if (!test.empty()) test_engine_.bind(test.features());
+    if (!backdoor_test.empty()) backdoor_engine_.bind(backdoor_test.features());
+  }
+
+  void score(const ParamVec& params, RoundRecord& record) {
+    const MultiEvalModel test{params, test_preds_};
+    test_engine_.predict_many({&test, 1});
+    record.main_accuracy = confusion_of(test_, test_preds_).accuracy();
+    const MultiEvalModel backdoor{params, backdoor_preds_};
+    backdoor_engine_.predict_many({&backdoor, 1});
+    record.backdoor_accuracy =
+        backdoor_accuracy_of(backdoor_test_, backdoor_preds_, target_class_);
+  }
+
+ private:
+  const Dataset& test_;
+  const Dataset& backdoor_test_;
+  int target_class_;
+  MultiModelEval test_engine_;
+  MultiModelEval backdoor_engine_;
+  std::vector<std::size_t> test_preds_;
+  std::vector<std::size_t> backdoor_preds_;
+};
+
 /// Forces every id in `members` into the selection, never displacing a
 /// previously-placed member.
 void ensure_members(std::vector<std::size_t>& ids,
@@ -288,11 +327,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ExperimentResult result;
   result.rounds.reserve(config.rounds);
 
-  // One inference workspace for the whole run: the per-round accuracy
-  // tracking below streams through it instead of allocating fresh
-  // prediction buffers every round.
-  MlpEvalWorkspace accuracy_ws;
-
   // The round loop as a task graph (DESIGN.md §15). Each round is a
   // train → validate → checkpoint chain; the model-version edge
   // checkpoint[r] → train[r+1] serializes the rounds (and every use of
@@ -300,22 +334,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // call sequence exactly). With pipelining, round r's accuracy pass is
   // an eval node depending on checkpoint[r]: it overlaps round r+1's
   // work against an immutable snapshot of the committed parameters.
-  // eval[r-1] → eval[r] serializes the single model/workspace pair and
+  // eval[r-1] → eval[r] serializes the single accuracy probe and
   // eval[r-2] → train[r] bounds runahead to one outstanding snapshot.
   // Waiting help-drains the shared pool, so run_repeated / sweep cells
   // can nest whole experiments inside pool tasks without deadlock.
+  // Accuracy is scored on the committed parameters: inline in the
+  // checkpoint without pipelining, in the eval node with it.
   const bool pipeline =
       config.scenario.pipeline_rounds && config.track_accuracy;
-  std::optional<Mlp> pipeline_model;
-  MlpEvalWorkspace pipeline_ws;
+  std::optional<AccuracyProbe> probe;
   std::shared_ptr<const ParamVec> committed_params;
   std::vector<std::shared_ptr<const ParamVec>> snapshots;
-  if (pipeline) {
-    pipeline_model.emplace(scenario.arch);
+  if (config.track_accuracy) {
+    probe.emplace(scenario.arch, scenario.task.test,
+                  scenario.task.backdoor_test, scenario.backdoor.target_class);
     committed_params =
         std::make_shared<const ParamVec>(server.global_model().parameters());
-    snapshots.resize(config.rounds);
   }
+  if (pipeline) snapshots.resize(config.rounds);
 
   // Round-local state shared by one round's chain nodes; the chain
   // edges serialize every access. Eval nodes touch none of it — they
@@ -423,7 +459,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
               driver->finish_round(*st.proposal, /*committed=*/true,
                                    committed_version, st.decision);
             }
-            if (pipeline) {
+            if (config.track_accuracy) {
               committed_params = std::make_shared<const ParamVec>(
                   std::move(st.proposal->candidate_params));
             }
@@ -439,13 +475,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
           record.eval_ms = st.eval_seconds * 1e3;
           record.train_ms = st.train_seconds * 1e3;
           if (config.track_accuracy && !pipeline) {
-            record.main_accuracy =
-                evaluate_confusion(server.global_model(), scenario.task.test,
-                                   accuracy_ws)
-                    .accuracy();
-            record.backdoor_accuracy = backdoor_accuracy(
-                server.global_model(), scenario.task.backdoor_test,
-                scenario.backdoor.target_class, accuracy_ws);
+            probe->score(*committed_params, record);
           }
           result.rounds.push_back(record);
           if (pipeline) snapshots[r - 1] = committed_params;
@@ -478,14 +508,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
             RoundRecord* slot = result.rounds.data() + (r - 1);
             const std::shared_ptr<const ParamVec> snapshot =
                 std::move(snapshots[r - 1]);
-            pipeline_model->set_parameters(*snapshot);
-            slot->main_accuracy =
-                evaluate_confusion(*pipeline_model, scenario.task.test,
-                                   pipeline_ws)
-                    .accuracy();
-            slot->backdoor_accuracy = backdoor_accuracy(
-                *pipeline_model, scenario.task.backdoor_test,
-                scenario.backdoor.target_class, pipeline_ws);
+            probe->score(*snapshot, *slot);
           },
           {checkpoint, prev_eval});
       prev_prev_eval = prev_eval;

@@ -77,18 +77,22 @@ std::vector<double> ConfusionMatrix::per_class_error_rates() const {
   return out;
 }
 
-ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
-                                   MlpEvalWorkspace& ws) {
+ConfusionMatrix confusion_of(const Dataset& data,
+                             std::span<const std::size_t> predictions) {
+  BAFFLE_CHECK(predictions.size() == data.size(),
+               "confusion_of: one prediction per sample");
   ConfusionMatrix cm(data.num_classes());
-  if (data.empty()) return cm;
-  const Matrix& x = data.features();
   const auto& labels = data.labels();
-  ws.predictions.resize(x.rows());
-  model.predict_into(x, ws.predictions, ws);
-  for (std::size_t i = 0; i < ws.predictions.size(); ++i) {
-    cm.record(labels[i], static_cast<int>(ws.predictions[i]));
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    cm.record(labels[i], static_cast<int>(predictions[i]));
   }
   return cm;
+}
+
+ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
+                                   MlpEvalWorkspace& ws) {
+  if (data.empty()) return ConfusionMatrix(data.num_classes());
+  return confusion_of(data, predict_once(model, data.features(), ws));
 }
 
 ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "nn/mlp.hpp"
+#include "nn/multi_eval.hpp"
 
 namespace baffle {
 
@@ -47,9 +47,13 @@ class ConfusionMatrix {
   std::vector<std::size_t> counts_;  // row-major [true][pred]
 };
 
-/// Evaluates `model` on `data` and tallies the confusion matrix.
-/// Inference runs chunked through `ws`, so repeated evaluations (the
-/// validator's ℓ+1 models per round) reuse the same scratch storage.
+/// Tallies `data`'s labels against `predictions`, one per row of
+/// `data` (throws std::invalid_argument on a length mismatch).
+ConfusionMatrix confusion_of(const Dataset& data,
+                             std::span<const std::size_t> predictions);
+
+/// Evaluates `model` on `data` (predict_once through `ws`) and tallies
+/// the confusion matrix.
 ConfusionMatrix evaluate_confusion(const Mlp& model, const Dataset& data,
                                    MlpEvalWorkspace& ws);
 

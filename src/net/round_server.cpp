@@ -129,13 +129,13 @@ std::optional<WireMessage> RoundServer::poll_admissible(
   return msg;
 }
 
-RoundServer::UpdateCollection RoundServer::collect_updates(
-    std::uint64_t round, const std::vector<std::size_t>& expected) {
-  std::vector<std::optional<ParamVec>> slots(expected.size());
+std::vector<std::optional<WireMessage>> RoundServer::collect(
+    std::uint64_t round, const std::vector<std::size_t>& expected,
+    MsgType type, std::chrono::milliseconds timeout) {
+  std::vector<std::optional<WireMessage>> slots(expected.size());
   std::vector<bool> pending(expected.size(), true);
   std::size_t remaining = expected.size();
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.update_timeout;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
 
   while (remaining > 0) {
     bool progressed = false;
@@ -149,15 +149,13 @@ RoundServer::UpdateCollection RoundServer::collect_updates(
         // Drain everything queued on this session before marking it
         // answered, so a duplicate sent in the same burst is seen (and
         // rejected) rather than left to poison the next round's phase.
-        while (auto msg = poll_admissible(expected[i], round,
-                                          MsgType::kClientUpdate)) {
+        while (auto msg = poll_admissible(expected[i], round, type)) {
           progressed = true;
-          auto& update = std::get<ClientUpdate>(*msg);
           if (slots[i]) {
             ++stats_.duplicates;
             continue;
           }
-          slots[i] = std::move(update.update);
+          slots[i] = std::move(msg);
         }
         if (slots[i]) {
           pending[i] = false;
@@ -170,15 +168,25 @@ RoundServer::UpdateCollection RoundServer::collect_updates(
     if (!progressed) assist_or_yield();
   }
 
-  UpdateCollection out;
   MutexLock lock(mu_);
+  for (const auto& slot : slots) {
+    if (!slot) ++stats_.timeouts;
+  }
+  return slots;
+}
+
+RoundServer::UpdateCollection RoundServer::collect_updates(
+    std::uint64_t round, const std::vector<std::size_t>& expected) {
+  auto slots =
+      collect(round, expected, MsgType::kClientUpdate, config_.update_timeout);
+  UpdateCollection out;
   for (std::size_t i = 0; i < expected.size(); ++i) {
     if (slots[i]) {
-      out.updates.push_back(std::move(*slots[i]));
+      out.updates.push_back(
+          std::move(std::get<ClientUpdate>(*slots[i]).update));
       out.responders.push_back(expected[i]);
     } else {
       out.dropped.push_back(expected[i]);
-      ++stats_.timeouts;
     }
   }
   return out;
@@ -218,47 +226,14 @@ void RoundServer::send_validation(std::uint64_t round,
 
 RoundServer::VoteCollection RoundServer::collect_votes(
     std::uint64_t round, const std::vector<std::size_t>& expected) {
-  std::vector<std::optional<Vote>> slots(expected.size());
-  std::vector<bool> pending(expected.size(), true);
-  std::size_t remaining = expected.size();
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.vote_timeout;
-
-  while (remaining > 0) {
-    bool progressed = false;
-    {
-      MutexLock lock(mu_);
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        if (!pending[i]) continue;
-        while (auto msg =
-                   poll_admissible(expected[i], round, MsgType::kVote)) {
-          progressed = true;
-          if (slots[i]) {
-            ++stats_.duplicates;
-            continue;
-          }
-          slots[i] = std::get<Vote>(std::move(*msg));
-        }
-        if (slots[i]) {
-          pending[i] = false;
-          --remaining;
-        }
-      }
-    }
-    if (remaining == 0) break;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    if (!progressed) assist_or_yield();
-  }
-
+  auto slots = collect(round, expected, MsgType::kVote, config_.vote_timeout);
   VoteCollection out;
-  MutexLock lock(mu_);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     if (slots[i]) {
-      out.votes.push_back(*slots[i]);
+      out.votes.push_back(std::get<Vote>(*slots[i]));
       out.responders.push_back(expected[i]);
     } else {
       out.dropped.push_back(expected[i]);
-      ++stats_.timeouts;
     }
   }
   return out;

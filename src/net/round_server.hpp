@@ -141,6 +141,14 @@ class RoundServer {
                                              std::uint64_t round,
                                              MsgType expected)
       BAFFLE_REQUIRES(mu_);
+  /// The collection loop both phases share: polls every `expected`
+  /// session for admissible frames of `type` until each has answered or
+  /// `timeout` passes, helping the pool while idle. Slot i holds the
+  /// first admissible message from expected[i] (later ones count as
+  /// duplicates); each empty slot counts as a timeout.
+  std::vector<std::optional<WireMessage>> collect(
+      std::uint64_t round, const std::vector<std::size_t>& expected,
+      MsgType type, std::chrono::milliseconds timeout);
 
   RoundServerConfig config_;
   std::size_t expected_params_;

@@ -31,7 +31,7 @@ void Dense::init_weights(Rng& rng) {
   std::fill(bias_.begin(), bias_.end(), 0.0f);
 }
 
-void Dense::forward_eval(ConstMatrixView x, Matrix& out) const {
+void Dense::forward_eval(const Matrix& x, Matrix& out) const {
   BAFFLE_CHECK(x.cols() == in_dim_, "input width must match the layer");
   out.resize(x.rows(), out_dim_);
   gemm_ab(x, weights_, out);

@@ -1,6 +1,7 @@
 #pragma once
-// Fully-connected layer: one inference/training forward and one backward
-// that reads the forward activations from caller-owned buffers.
+// Fully-connected layer: one training forward and one backward that
+// reads the forward activations from caller-owned buffers. Inference
+// runs through MultiModelEval, bit-identical to this forward.
 
 #include "nn/activation.hpp"
 #include "tensor/matrix.hpp"
@@ -17,7 +18,7 @@ class Dense {
 
   /// Computes out = act(x W + b), reusing out's storage. Caches
   /// nothing, so it is safe to call concurrently on a const layer.
-  void forward_eval(ConstMatrixView x, Matrix& out) const;
+  void forward_eval(const Matrix& x, Matrix& out) const;
 
   /// Given dL/d(out), OVERWRITES the grad buffers with dL/dW and dL/db
   /// and writes dL/dx into `dx` (skipped when dx == nullptr, i.e., for

@@ -1,5 +1,7 @@
 #pragma once
-// Multi-layer perceptron classifier.
+// Multi-layer perceptron classifier: the training model. Inference
+// runs through MultiModelEval (nn/multi_eval.hpp), bit-identical to
+// forward_train plus a first-max argmax.
 //
 // FL treats models as flat parameter vectors (for averaging, scaling and
 // secure aggregation), so the Mlp exposes get/set of a contiguous
@@ -18,15 +20,6 @@ namespace baffle {
 struct MlpConfig {
   std::vector<std::size_t> layer_dims;           // >= 2 entries
   Activation hidden_activation = Activation::kRelu;
-};
-
-/// Scratch buffers for the inference path. Reusing one workspace across
-/// evaluations (the validator runs ℓ+1 of them per round against the
-/// same dataset) keeps the hot loop allocation-free after warm-up.
-struct MlpEvalWorkspace {
-  Matrix a;
-  Matrix b;
-  std::vector<std::size_t> predictions;  // scratch for whole-set evals
 };
 
 /// Scratch buffers for the training path. One SGD step gathers a batch,
@@ -65,21 +58,6 @@ class Mlp {
   /// buffers (exactly one backward per step). Throws std::logic_error
   /// when no forward_train has filled `ws`.
   void backward_train(const Matrix& x, TrainWorkspace& ws);
-
-  /// Rows per inference chunk: large enough to keep GEMM efficient,
-  /// small enough that a chunk's activations stay cache-resident.
-  static constexpr std::size_t kPredictChunkRows = 512;
-
-  /// Predicted class per row of x. Runs the inference-only forward pass
-  /// (no activation caching), so it is const and thread-safe.
-  std::vector<std::size_t> predict(const Matrix& x) const;
-
-  /// Predicted class per row of x, written into out (out.size() ==
-  /// x.rows()). Processes chunk_rows rows at a time through ws without
-  /// allocating once the workspace is warm.
-  void predict_into(ConstMatrixView x, std::span<std::size_t> out,
-                    MlpEvalWorkspace& ws,
-                    std::size_t chunk_rows = kPredictChunkRows) const;
 
   std::size_t num_params() const { return num_params_; }
   std::size_t input_dim() const { return config_.layer_dims.front(); }

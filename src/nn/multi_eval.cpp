@@ -82,7 +82,7 @@ const float* MultiModelEval::eval_panel_fp32(std::span<const LayerView> layers,
     if (hidden && config_.hidden_activation == Activation::kTanh) {
       // Same element-wise std::tanh as activation_forward, applied to
       // per-arm-identical inputs: stays bit-identical to the
-      // sequential path.
+      // training forward.
       for (std::size_t i = 0; i < lv.d_out * kPC; ++i) {
         cur[i] = std::tanh(cur[i]);
       }
@@ -121,8 +121,7 @@ void MultiModelEval::run_tile(std::span<const MultiEvalModel> models,
   }
 }
 
-void MultiModelEval::sweep(std::span<const MultiEvalModel> models,
-                           bool on_pool) {
+void MultiModelEval::predict_many(std::span<const MultiEvalModel> models) {
   BAFFLE_CHECK(!xpack_.empty() || samples_ == 0,
                "MultiModelEval: bind() before predict");
   for (const MultiEvalModel& m : models) {
@@ -146,7 +145,7 @@ void MultiModelEval::sweep(std::span<const MultiEvalModel> models,
   // The tile sweep. Every (model-chunk × panel-block) tile
   // writes the disjoint prediction/margin slice of its (model, sample)
   // rectangle with the serial loop's per-element arithmetic, so any
-  // schedule — pool-parallel or inline — produces the same bytes.
+  // schedule — any pool size — produces the same bytes.
   const std::size_t nchunks = (nmodels + kModelChunk - 1) / kModelChunk;
   const std::size_t nblocks = (panels_ + kPanelBlock - 1) / kPanelBlock;
   const std::size_t ntiles = nchunks * nblocks;
@@ -157,12 +156,20 @@ void MultiModelEval::sweep(std::span<const MultiEvalModel> models,
     run_tile(models, m0, std::min(nmodels, m0 + kModelChunk), jb,
              std::min(panels_, jb + kPanelBlock), cs, *lease);
   };
-  if (on_pool) {
-    ThreadPool::global().parallel_for(ntiles, tile_fn);
-  } else {
-    for (std::size_t tile = 0; tile < ntiles; ++tile) tile_fn(tile);
-  }
+  ThreadPool::global().parallel_for(ntiles, tile_fn);
   MetricsRegistry::global().add_counter("multi_eval.tiles", ntiles);
+}
+
+std::span<const std::size_t> predict_once(const Mlp& model, const Matrix& x,
+                                          MlpEvalWorkspace& ws) {
+  MultiModelEval engine(model.config());
+  engine.bind(x);
+  ws.params.resize(model.num_params());
+  model.parameters_into(ws.params);
+  ws.predictions.resize(x.rows());
+  const MultiEvalModel one{ws.params, ws.predictions};
+  engine.predict_many({&one, 1});
+  return ws.predictions;
 }
 
 }  // namespace baffle

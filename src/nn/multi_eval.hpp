@@ -1,18 +1,19 @@
 #pragma once
-// Batched multi-model evaluation engine (DESIGN.md §14, §17).
+// Batched multi-model evaluation engine: the ONE inference path
+// (DESIGN.md §8, §14, §17). Mlp is the training model; every prediction
+// — validator rounds, per-round accuracy tracking, evaluate_confusion,
+// backdoor_accuracy, evaluate_accuracy and the adaptive attacker's
+// behaviour cloning — runs through this engine.
 //
 // The validator evaluates ℓ+1 models per round against ONE fixed
-// dataset. Mlp::predict_into re-runs the whole inference pipeline per
-// model: materialize parameters into a scratch model, re-pack its
-// weights, stream X through GEMM + bias + activation, argmax. This
-// engine inverts the loop: the features are packed ONCE as Xᵀ panels
-// (pack_bt_panels: 16 sample-columns per panel) at bind() time, and
-// every model is evaluated by streaming its layers over the shared
-// panels with fused transposed-layer kernels — out = Wᵀ·in with the
-// bias add and ReLU applied while the tile is still in registers, the
-// weights read in place from the flat parameter vector (no
-// set_parameters, no per-model packing), and each panel's activations
-// chained entirely in cache.
+// dataset, so the engine inverts the usual loop: the features are
+// packed ONCE as Xᵀ panels (pack_bt_panels: 16 sample-columns per
+// panel) at bind() time, and every model is evaluated by streaming its
+// layers over the shared panels with fused transposed-layer kernels —
+// out = Wᵀ·in with the bias add and ReLU applied while the tile is
+// still in registers, the weights read in place from the flat parameter
+// vector (no set_parameters, no per-model packing), and each panel's
+// activations chained entirely in cache.
 //
 // Parallel execution (DESIGN.md §17): predict_many decomposes into
 // independent (model-chunk × panel-block) tiles on the global thread
@@ -20,15 +21,17 @@
 // flat parameters and writes a DISJOINT slice of predictions/margins
 // with the exact per-element arithmetic of the serial loop — no
 // reductions are reordered — so the output is byte-identical for any
-// pool size, including predict_into's inline loop. All mutable
-// per-call state lives in per-(thread, nesting-depth) leased scratch;
-// the engine itself is immutable after bind().
+// pool size. All mutable per-call state lives in per-(thread,
+// nesting-depth) leased scratch; the engine itself is immutable after
+// bind().
 //
-// Predictions are BIT-IDENTICAL to Mlp::predict_into on the same kernel
-// arm. The fused kernels keep the sequential path's accumulation order
-// (fold-left over the inner dimension from a zero accumulator, one
-// post-sum bias add, same ReLU and first-max argmax), so confusion
-// matrices, votes, φ and τ are unchanged byte-for-byte.
+// Parity contract: predictions are BIT-IDENTICAL to the training
+// forward (Mlp::forward_train) followed by a first-max argmax, on the
+// same kernel arm. The fused kernels keep Dense::forward_eval's
+// accumulation order (fold-left over the inner dimension from a zero
+// accumulator, one post-sum bias add, the same ReLU / std::tanh and
+// first-max argmax), so error records, votes, φ, τ and accuracies are
+// unchanged byte-for-byte.
 
 #include <span>
 #include <vector>
@@ -78,24 +81,14 @@ class MultiModelEval {
   bool bound() const { return samples_ > 0; }
   std::size_t bound_samples() const { return samples_; }
 
-  /// Evaluates one model against the bound features on the calling
-  /// thread: it never waits on the pool, so it is safe under a held
-  /// lock. `out.size()` must equal bound_samples().
-  void predict_into(std::span<const float> params,
-                    std::span<std::size_t> out) {
-    const MultiEvalModel model{params, out, {}};
-    sweep({&model, 1}, /*on_pool=*/false);
-  }
-
   /// Evaluates a batch of models over (model-chunk × panel-block)
   /// tiles: each tile streams a block of packed X panels through a
   /// chunk of models, so the shared operand's memory traffic is paid
   /// once per block instead of once per model, and the tiles fan out
-  /// across ThreadPool::global(). Results are byte-identical to
-  /// predict_into's at any pool size.
-  void predict_many(std::span<const MultiEvalModel> models) {
-    sweep(models, /*on_pool=*/true);
-  }
+  /// across ThreadPool::global(). Results are byte-identical at any
+  /// pool size. Waits on the pool, so it must not run under a lock
+  /// that a pool task may take.
+  void predict_many(std::span<const MultiEvalModel> models);
 
   /// Models per tile: the model-side unit of the tile decomposition.
   static constexpr std::size_t kModelChunk = 16;
@@ -133,9 +126,6 @@ class MultiModelEval {
   const float* eval_panel_fp32(std::span<const LayerView> layers,
                                const float* xpanel, PanelScratch& ps) const;
 
-  /// Runs every tile: across the global pool, or inline.
-  void sweep(std::span<const MultiEvalModel> models, bool on_pool);
-
   /// One (model-chunk × panel-block) tile: models [m0, mend) over
   /// packed panels [jb, jend), writing the disjoint prediction/margin
   /// slices of exactly those (model, sample) pairs.
@@ -152,5 +142,20 @@ class MultiModelEval {
 
   PackedB xpack_;  // fp32 Xᵀ panels — present once bound
 };
+
+/// Scratch for one-shot evaluations of an Mlp: its flat parameters and
+/// the predictions. Reusing one workspace keeps both buffers warm; the
+/// features are bound afresh on every call.
+struct MlpEvalWorkspace {
+  std::vector<float> params;
+  std::vector<std::size_t> predictions;
+};
+
+/// Predicted class per row of `x` under `model`: binds `x` to a
+/// throwaway engine and evaluates the model's parameters once. Returns
+/// ws.predictions, resized to x.rows(). Throws std::invalid_argument
+/// when x's width is not the model's input dimension.
+std::span<const std::size_t> predict_once(const Mlp& model, const Matrix& x,
+                                          MlpEvalWorkspace& ws);
 
 }  // namespace baffle

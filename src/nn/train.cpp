@@ -3,6 +3,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "nn/multi_eval.hpp"
+
 namespace baffle {
 
 TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
@@ -62,21 +64,15 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
 
 double evaluate_accuracy(const Mlp& model, const Matrix& x,
                          std::span<const int> labels) {
-  MlpEvalWorkspace ws;
-  return evaluate_accuracy(model, ConstMatrixView(x), labels, ws);
-}
-
-double evaluate_accuracy(const Mlp& model, ConstMatrixView x,
-                         std::span<const int> labels, MlpEvalWorkspace& ws) {
   if (x.rows() != labels.size()) {
     throw std::invalid_argument("evaluate_accuracy: label count mismatch");
   }
   if (x.rows() == 0) return 0.0;
-  ws.predictions.resize(x.rows());
-  model.predict_into(x, ws.predictions, ws);
+  MlpEvalWorkspace ws;
+  const auto predictions = predict_once(model, x, ws);
   std::size_t correct = 0;
-  for (std::size_t i = 0; i < ws.predictions.size(); ++i) {
-    if (ws.predictions[i] == static_cast<std::size_t>(labels[i])) ++correct;
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    if (predictions[i] == static_cast<std::size_t>(labels[i])) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(x.rows());
 }

@@ -36,13 +36,8 @@ TrainStats train_sgd(Mlp& model, const Matrix& x, std::span<const int> labels,
                      const TrainConfig& config, Rng& rng, TrainWorkspace& ws);
 
 /// Fraction of rows of `x` classified as `labels` — the empirical
-/// accuracy acc_D(f) of Section II-A.
+/// accuracy acc_D(f) of Section II-A (0 for an empty `x`).
 double evaluate_accuracy(const Mlp& model, const Matrix& x,
                          std::span<const int> labels);
-
-/// Zero-copy variant: predictions stream chunk-wise through `ws`
-/// (ws.predictions is the scratch), allocation-free once warm.
-double evaluate_accuracy(const Mlp& model, ConstMatrixView x,
-                         std::span<const int> labels, MlpEvalWorkspace& ws);
 
 }  // namespace baffle

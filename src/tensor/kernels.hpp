@@ -86,8 +86,8 @@ struct EvalLayerArgs {
   bool relu = false;
 };
 
-/// Column argmax over a packed panel with the same first-max tie-break
-/// as argmax_rows_into, plus (when `margins` is non-null) the top-2
+/// Column argmax over a packed panel with a first-max tie-break (the
+/// lowest class index among equal maxima, as std::max_element), plus (when `margins` is non-null) the top-2
 /// margin per column — the parity tests compare margins bit for bit to
 /// check the tiled evaluation beyond the argmax.
 struct ArgmaxMarginArgs {

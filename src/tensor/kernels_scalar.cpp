@@ -153,9 +153,8 @@ void gemm_abt_rows(const GemmRowArgs& g, std::size_t r0, std::size_t r1) {
 }
 
 // Packed-panel kernel for the scalar arm: only reached through the
-// explicit gemm_*_packed entry points (e.g. a Dense packed-weight
-// cache evaluated under BAFFLE_FORCE_SCALAR), so clarity beats
-// throughput here.
+// explicit gemm_ab_packed entry point (the packed-vs-plain parity tests
+// under BAFFLE_FORCE_SCALAR), so clarity beats throughput here.
 void gemm_packed_rows(const PackedGemmArgs& g, std::size_t r0,
                       std::size_t r1) {
   BAFFLE_DCHECK(r0 <= r1, "kernel row range must be ordered");
@@ -347,7 +346,7 @@ void eval_layer_f32(const EvalLayerArgs& g) {
 
 void argmax_margin_panel(const ArgmaxMarginArgs& g) {
   for (std::size_t c = 0; c < g.cols; ++c) {
-    // Strict > keeps the first maximum, matching argmax_rows_into.
+    // Strict > keeps the first maximum, as std::max_element does.
     float best = g.in[c];
     float second = -std::numeric_limits<float>::infinity();
     std::size_t bi = 0;

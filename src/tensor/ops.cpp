@@ -117,7 +117,7 @@ void run_rows(void (*kernel)(const kernels::GemmRowArgs&, std::size_t,
 }
 }  // namespace
 
-void pack_b_panels(ConstMatrixView b, PackedB& out) {
+void pack_b_panels(const Matrix& b, PackedB& out) {
   constexpr std::size_t pc = kernels::kPanelCols;
   const std::size_t k = b.rows(), n = b.cols();
   const std::size_t panels = (n + pc - 1) / pc;
@@ -172,27 +172,27 @@ void pack_bt_panels(const Matrix& b, PackedB& out) {
   out.n_ = n;
 }
 
-void gemm_ab_packed(ConstMatrixView a, const PackedB& bp, Matrix& out) {
+void gemm_ab_packed(const Matrix& a, const PackedB& bp, Matrix& out) {
   BAFFLE_CHECK(a.cols() == bp.k(), "gemm_ab: inner dimension mismatch");
   BAFFLE_CHECK(out.rows() == a.rows() && out.cols() == bp.n(),
         "gemm_ab: output shape mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = bp.n();
   if (m == 0 || n == 0) return;
-  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.data(), m * k),
+  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.flat().data(), m * k),
                 "GEMM output must not alias an input");
   const std::size_t macs = m * k * n;
   const GemmReport report(macs, macs >= kParallelMacs);
-  run_packed(kernels::active_table(), a.data(), /*a_row_stride=*/k,
+  run_packed(kernels::active_table(), a.flat().data(), /*a_row_stride=*/k,
              /*a_p_stride=*/1, bp, out, m, macs);
 }
 
-void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out) {
+void gemm_ab(const Matrix& a, const Matrix& b, Matrix& out) {
   BAFFLE_CHECK(a.cols() == b.rows(), "gemm_ab: inner dimension mismatch");
   BAFFLE_CHECK(out.rows() == a.rows() && out.cols() == b.cols(),
         "gemm_ab: output shape mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (m == 0 || n == 0) return;
-  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.data(), m * k),
+  BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), a.flat().data(), m * k),
                 "GEMM output must not alias an input");
   BAFFLE_DCHECK(disjoint(out.flat().data(), out.size(), b.flat().data(), b.size()),
                 "GEMM output must not alias an input");
@@ -204,12 +204,12 @@ void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out) {
     // the per-depth scratch is reused (and regrown monotonically).
     const PackScratchLease scratch;
     pack_b_panels(b, *scratch);
-    run_packed(kt, a.data(), /*a_row_stride=*/k, /*a_p_stride=*/1, *scratch,
+    run_packed(kt, a.flat().data(), /*a_row_stride=*/k, /*a_p_stride=*/1, *scratch,
                out, m, macs);
     return;
   }
   kernels::GemmRowArgs args;
-  args.a = a.data();
+  args.a = a.flat().data();
   args.lda = k;
   args.b = b.flat().data();
   args.ldb = n;
@@ -325,15 +325,6 @@ void softmax_rows(Matrix& m) {
       total += x;
     }
     for (float& x : row) x /= total;
-  }
-}
-
-void argmax_rows_into(const Matrix& m, std::span<std::size_t> out) {
-  BAFFLE_CHECK(out.size() == m.rows(), "argmax_rows_into: output length mismatch");
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    auto row = m.row(r);
-    out[r] = static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
   }
 }
 

@@ -14,8 +14,7 @@
 // it is large enough to amortize the dispatch; small multiplies (the
 // per-batch training shapes) run inline on the caller. NaN/Inf inputs
 // propagate to the output — a diverged model must not be masked by a
-// sparsity shortcut. The A operand is taken as a view so callers can
-// feed row-chunks of a cached feature matrix without copying.
+// sparsity shortcut.
 //
 // The flat-vector primitives (dot/axpy/norms/...) live in
 // tensor/primitives.hpp, included here so existing callers keep
@@ -47,7 +46,7 @@ class PackedB {
   const float* data() const { return data_.data(); }
 
  private:
-  friend void pack_b_panels(ConstMatrixView b, PackedB& out);
+  friend void pack_b_panels(const Matrix& b, PackedB& out);
   friend void pack_bt_panels(const Matrix& b, PackedB& out);
 
   AlignedFloatVec data_;
@@ -56,16 +55,16 @@ class PackedB {
 };
 
 /// Packs B (k x n, natural layout) into panels.
-void pack_b_panels(ConstMatrixView b, PackedB& out);
+void pack_b_panels(const Matrix& b, PackedB& out);
 
 /// Packs Bᵀ for gemm_abt: b is (n, k) and the panels hold its columns.
 void pack_bt_panels(const Matrix& b, PackedB& out);
 
 /// out = a * bp where bp packs B (k,n). Shapes: (m,k) x (k,n) -> (m,n).
-void gemm_ab_packed(ConstMatrixView a, const PackedB& bp, Matrix& out);
+void gemm_ab_packed(const Matrix& a, const PackedB& bp, Matrix& out);
 
 /// out = a * b. Shapes: (m,k) x (k,n) -> (m,n).
-void gemm_ab(ConstMatrixView a, const Matrix& b, Matrix& out);
+void gemm_ab(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = aᵀ * b. Shapes: (k,m) x (k,n) -> (m,n).
 void gemm_atb(const Matrix& a, const Matrix& b, Matrix& out);
@@ -81,9 +80,5 @@ void col_sum(const Matrix& m, std::span<float> out);
 
 /// In-place row-wise softmax (numerically stabilized).
 void softmax_rows(Matrix& m);
-
-/// Index of the max entry of each row, written into out (out.size() ==
-/// m.rows()).
-void argmax_rows_into(const Matrix& m, std::span<std::size_t> out);
 
 }  // namespace baffle

@@ -155,40 +155,6 @@ TEST_F(BatchedValidate, BatchedCmsBitIdenticalToDirectEvaluation) {
   }
 }
 
-TEST_F(BatchedValidate, RepeatCandidateShortCircuitsMaterialization) {
-  // The adaptive attacker's self-check re-validates the same candidate;
-  // a bit-equal repeat must reuse the previous record instead
-  // of re-running inference — with identical outcomes.
-  const std::size_t ell = 8;
-  Validator v = make_validator(ell);
-  std::vector<GlobalModel> history;
-  Rng rng(66);
-  for (std::uint64_t ver = 0; ver <= ell; ++ver) {
-    history.push_back({ver, params_});
-    params_ = next_params(rng);
-  }
-  const ParamVec candidate = next_params(rng);
-  const auto first = v.validate(candidate, history);
-  const auto materialized =
-      MetricsRegistry::global().counter("validator.model_materializations");
-  const auto reused_before =
-      MetricsRegistry::global().counter("validator.candidate_cm_reuse");
-  const auto second = v.validate(candidate, history);
-  expect_same(first, second);
-  EXPECT_EQ(
-      MetricsRegistry::global().counter("validator.model_materializations"),
-      materialized);
-  EXPECT_GT(MetricsRegistry::global().counter("validator.candidate_cm_reuse"),
-            reused_before);
-
-  // A different candidate must NOT be served from the memo.
-  const ParamVec other = next_params(rng);
-  v.validate(other, history);
-  EXPECT_GT(
-      MetricsRegistry::global().counter("validator.model_materializations"),
-      materialized);
-}
-
 TEST_F(BatchedValidate, ParallelEvalParityAcrossRoundsAndArms) {
   // Thread placement must never reach a vote (DESIGN.md §17): the same
   // rounds validated on pinned pools of 1 (the serial reference), 2, 3

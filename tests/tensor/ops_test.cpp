@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/rng.hpp"
@@ -146,38 +145,6 @@ TEST(Gemm, LargeMultipliesMatchNaive) {
   expect_matrix_near(out3, naive_ab(a, b2t), 5e-3f);
 }
 
-TEST(Gemm, ViewRowRangeMultipliesChunk) {
-  Rng rng(8);
-  const Matrix a = random_matrix(10, 6, rng);
-  const Matrix b = random_matrix(6, 4, rng);
-  const Matrix full = naive_ab(a, b);
-  Matrix out(4, 4);
-  gemm_ab(ConstMatrixView(a).row_range(3, 4), b, out);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(out.at(i, j), full.at(i + 3, j), 1e-4f);
-    }
-  }
-}
-
-// The allocating reference is a freshly built vector of per-row
-// std::max_element positions.
-TEST(RowOps, ArgmaxRowsIntoMatchesAllocating) {
-  const Matrix m = Matrix::from_rows(3, 3, {1, 5, 2, 9, 0, 1, 2, 2, 7});
-  std::vector<std::size_t> out(3);
-  argmax_rows_into(m, out);
-  std::vector<std::size_t> expected;
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const auto row = m.row(r);
-    expected.push_back(static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin()));
-  }
-  EXPECT_EQ(out, expected);
-  EXPECT_EQ(out, (std::vector<std::size_t>{1, 0, 2}));
-  std::vector<std::size_t> wrong_size(2);
-  EXPECT_THROW(argmax_rows_into(m, wrong_size), std::invalid_argument);
-}
-
 TEST(RowOps, AddRowBias) {
   Matrix m(2, 3, 1.0f);
   const std::vector<float> bias{1.0f, 2.0f, 3.0f};
@@ -225,14 +192,6 @@ TEST(Softmax, PreservesOrdering) {
   softmax_rows(m);
   EXPECT_GT(m.at(0, 1), m.at(0, 0));
   EXPECT_GT(m.at(0, 0), m.at(0, 2));
-}
-
-TEST(Argmax, PerRow) {
-  const Matrix m = Matrix::from_rows(2, 3, {1, 5, 2, 7, 0, 3});
-  std::vector<std::size_t> idx(2);
-  argmax_rows_into(m, idx);
-  EXPECT_EQ(idx[0], 1u);
-  EXPECT_EQ(idx[1], 0u);
 }
 
 TEST(VectorOps, Axpy) {

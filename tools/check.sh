@@ -6,6 +6,10 @@
 #   tools/check.sh            # strict build + ctest (both arms) + lint
 #   tools/check.sh --checks   # also build with BAFFLE_CHECKS=ON (live
 #                             # DCHECK contracts) and run the full suite
+#   tools/check.sh --matrix   # also run the full suite at every
+#                             # BAFFLE_THREADS in {1,2,3,4} x {dispatched,
+#                             # BAFFLE_FORCE_SCALAR=1} x {strict build,
+#                             # BAFFLE_CHECKS=ON build} (16 runs)
 #   tools/check.sh --asan     # also build with -fsanitize=address,leak
 #                             # and run the full suite on both arms
 #   tools/check.sh --tsan     # also build with -fsanitize=thread and run
@@ -43,6 +47,7 @@ TEST_TARGETS=(test_util test_tensor test_nn test_data test_metrics
               test_exp test_integration)
 
 RUN_CHECKS=0
+RUN_MATRIX=0
 RUN_ASAN=0
 RUN_TSAN=0
 RUN_UBSAN=0
@@ -54,6 +59,7 @@ RUN_SWEEP_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --checks) RUN_CHECKS=1 ;;
+    --matrix) RUN_MATRIX=1 ;;
     --asan) RUN_ASAN=1 ;;
     --tsan) RUN_TSAN=1 ;;
     --ubsan) RUN_UBSAN=1 ;;
@@ -62,8 +68,8 @@ for arg in "$@"; do
     --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --fuzz) RUN_FUZZ=1 ;;
     --sweep-smoke) RUN_SWEEP_SMOKE=1 ;;
-    --all) RUN_CHECKS=1; RUN_ASAN=1; RUN_TSAN=1; RUN_UBSAN=1; RUN_TIDY=1
-           RUN_THREAD_SAFETY=1
+    --all) RUN_CHECKS=1; RUN_MATRIX=1; RUN_ASAN=1; RUN_TSAN=1; RUN_UBSAN=1
+           RUN_TIDY=1; RUN_THREAD_SAFETY=1
            RUN_BENCH_SMOKE=1; RUN_FUZZ=1; RUN_SWEEP_SMOKE=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
@@ -128,7 +134,7 @@ run_bench_smoke() {
 
 run_multieval_smoke() {
   # Exits nonzero when the batched engine's predictions are not
-  # byte-identical to sequential Mlp::predict_into, or when the
+  # byte-identical to the training forward plus argmax, or when the
   # pool-parallel arm is not byte-identical to the serial tile loop.
   # Smoke mode skips the ≥2x speed gates (timing on shared CI hosts is
   # too noisy to assert).
@@ -174,6 +180,35 @@ if [[ "$RUN_CHECKS" -eq 1 ]]; then
     build_cfg build-checks -DBAFFLE_CHECKS=ON
   stage "tests under live DCHECKs" \
     run_suite_both_arms build-checks
+fi
+
+run_matrix() {
+  # Timing- and placement-dependent bugs hide at one thread count: rerun
+  # the whole suite at pool sizes 1 to 4, on both dispatch arms, with
+  # contracts off and on.
+  local dir threads scalar
+  for dir in build-strict build-checks; do
+    for threads in 1 2 3 4; do
+      for scalar in 0 1; do
+        echo "-- ${dir}: BAFFLE_THREADS=${threads} BAFFLE_FORCE_SCALAR=${scalar}"
+        if [[ "$scalar" -eq 1 ]]; then
+          BAFFLE_THREADS="$threads" BAFFLE_FORCE_SCALAR=1 \
+            ctest --test-dir "$dir" --output-on-failure -j "$JOBS" || return 1
+        else
+          BAFFLE_THREADS="$threads" \
+            ctest --test-dir "$dir" --output-on-failure -j "$JOBS" || return 1
+        fi
+      done
+    done
+  done
+}
+
+if [[ "$RUN_MATRIX" -eq 1 ]]; then
+  if [[ "$RUN_CHECKS" -eq 0 ]]; then
+    stage "contracts build (BAFFLE_CHECKS=ON)" \
+      build_cfg build-checks -DBAFFLE_CHECKS=ON
+  fi
+  stage "test matrix (threads 1-4 x both arms x checks off/on)" run_matrix
 fi
 
 run_asan_suites() {
